@@ -4,12 +4,12 @@ adversaries for Ethereum-style peer-to-peer broadcast networks."""
 from .adversary import PLACEMENTS, Adversary, AdversaryConfig, Observation, place_adversaries
 from .engine import (PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_NAMES, PHASE_STEM,
                      SimMessage, Simulation, SimulationRun, derive_seed,
-                     run_message, sample_originator, spawn_message)
+                     run_message, spawn_message)
 from .errors import (ConfigError, FormatError, GenerationError, ParameterError,
                      SchemaError)
 from .estimators import (CandidateDistribution, NoObservation,
                          estimate_first_reach, estimate_first_sent,
-                         refine_dandelion, uniform_distribution)
+                         refine_dandelion)
 from .evaluator import (ESTIMATORS, EvaluationReport, compute_report, evaluate,
                         rank_of)
 from .experiment import (CellSpec, ExperimentConfig, FIGURE_PRESETS,
@@ -41,6 +41,6 @@ __all__ = [
     "gen_random_regular", "gen_scale_free", "get_central_nodes", "load_config",
     "load_graph", "load_node_weights", "make_protocol", "parse_config",
     "place_adversaries", "rank_of", "refine_dandelion", "run_cell",
-    "run_experiment", "run_message", "sample_originator", "save_graph",
-    "spawn_message", "uniform_distribution", "write_report",
+    "run_experiment", "run_message", "save_graph", "spawn_message",
+    "write_report",
 ]

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import PHASE_CIRCUIT, PHASE_NAMES, derive_seed
+from .engine import PHASE_CIRCUIT, derive_seed
 from .errors import ParameterError
 from .graphs import get_central_nodes
 
@@ -59,8 +59,11 @@ class Observation(NamedTuple):
     phase: int
     linkable: bool
 
-    def phase_name(self):
-        return PHASE_NAMES[self.phase]
+
+def adversary_count(ratio, n):
+    """Number of adversarial nodes for a ratio: floor(ratio * n)."""
+    # small epsilon guards floor() against downward float drift (e.g. 0.2*115)
+    return int(ratio * n + 1e-9)
 
 
 def place_adversaries(graph, config, seed=0):
@@ -73,8 +76,7 @@ def place_adversaries(graph, config, seed=0):
         if len(nodes) >= graph.n:
             raise ParameterError("adversary cannot hold every node")
         return tuple(nodes)
-    # small epsilon guards floor() against downward float drift (e.g. 0.2*115)
-    count = int(config.ratio * graph.n + 1e-9)
+    count = adversary_count(config.ratio, graph.n)
     if config.placement == "random":
         rng = np.random.default_rng(derive_seed(seed, 8))
         picked = rng.permutation(graph.n)[:count]
@@ -105,9 +107,6 @@ class Adversary:
     def observations(self, message_id):
         """All deliveries logged for one message, in delivery order."""
         return self._logs.get(message_id, [])
-
-    def observed_message_ids(self):
-        return sorted(self._logs)
 
     def __repr__(self):
         kind = "active" if self.active else "passive"

@@ -125,25 +125,6 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     return msg
 
 
-def sample_originator(graph, rng, use_node_weights=True):
-    """Draw an originator, proportional to node weight when the flag is set."""
-    if not use_node_weights:
-        return rng.randrange(graph.n)
-    cum = _weight_cumsum(graph)
-    total = cum[-1]
-    if total <= 0.0:
-        raise ParameterError("cannot weight-sample originator: all node weights are zero")
-    return bisect_right(cum, rng.random() * total)
-
-
-def _weight_cumsum(graph):
-    cum = getattr(graph, "_weight_cumsum", None)
-    if cum is None:
-        cum = np.cumsum(graph.node_weights).tolist()
-        graph._weight_cumsum = cum
-    return cum
-
-
 @dataclass
 class SimulationRun:
     """Outcome of a batch of messages under one protocol/adversary setup."""
@@ -195,6 +176,11 @@ class Simulation:
         return self._honest[bisect_right(self._honest_cum, x)]
 
     def run(self):
+        # an adversary logs by message id, so a second run would merge into its logs
+        if self.adversary is not None and any(
+                self.adversary.observations(mid) for mid in range(self.num_messages)):
+            raise ParameterError("adversary already holds observations for these "
+                                 "message ids; build a fresh Adversary for each run")
         origin_rng = random.Random(derive_seed(self.seed, 6))
         result = SimulationRun()
         for mid in range(self.num_messages):

@@ -21,7 +21,8 @@ _EMPTY = frozenset()
 
 class NoObservation(Exception):
     """Raised when a message produced no usable (linkable, honest-sender)
-    observation; the evaluator substitutes a uniform distribution."""
+    observation; the evaluator records None, which rank_of scores as the
+    mid-rank of a uniform guess over honest nodes."""
 
     def __init__(self, message_id=None):
         super().__init__(f"no usable observation for message {message_id}")
@@ -44,25 +45,12 @@ class CandidateDistribution:
             raise ParameterError("empty candidate distribution")
         return min(self.probs, key=lambda u: (-self.probs[u], u))
 
-    def ranked(self):
-        """Candidates in descending probability, ties by ascending id."""
-        return sorted(self.probs, key=lambda u: (-self.probs[u], u))
-
     def entropy_bits(self):
         return -sum(p * math.log2(p) for p in self.probs.values() if p > 0.0)
 
 
 def _point_mass(message_id, node):
     return CandidateDistribution(message_id, {node: 1.0})
-
-
-def uniform_distribution(message_id, nodes):
-    """Uniform fallback over the given candidates (used for unobserved messages)."""
-    nodes = list(nodes)
-    if not nodes:
-        raise ParameterError("uniform distribution needs at least one candidate")
-    p = 1.0 / len(nodes)
-    return CandidateDistribution(message_id, {u: p for u in nodes})
 
 
 def estimate_first_reach(observations, exclude=_EMPTY, message_id=None):

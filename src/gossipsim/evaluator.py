@@ -47,7 +47,7 @@ def rank_of(dist, originator, num_honest):
     """1-based rank of the originator in a candidate distribution.
 
     dist may be None (unobserved message): the rank is then the mid-rank of a
-    uniform guess over all honest nodes. Ties are mid-ranked; zero-mass
+    uniform guess over all honest nodes. Tied nodes share a mid-rank; zero-mass
     originators get the mid-rank of the zero tail behind the support.
     """
     if num_honest < 1:

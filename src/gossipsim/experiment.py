@@ -11,16 +11,17 @@ import csv
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .adversary import PLACEMENTS, Adversary, AdversaryConfig
+from .adversary import Adversary, AdversaryConfig, adversary_count
 from .engine import Simulation
 from .errors import ConfigError, ParameterError, SchemaError
 from .evaluator import ESTIMATORS, evaluate
-from .graphs import (WeightGeneratorSpec, assign_weights, gen_random_regular,
-                     gen_scale_free, load_graph, load_node_weights)
-from .protocols import (BROADCAST_MODES, PROTOCOL_KINDS, STEM_KINDS,
-                        ProtocolConfig, make_protocol)
+from .graphs import (WeightGeneratorSpec, assign_weights, check_regular,
+                     check_scale_free, gen_random_regular, gen_scale_free,
+                     load_graph, load_node_weights)
+from .protocols import STEM_KINDS, ProtocolConfig, make_protocol
 
 TOPOLOGY_KINDS = ("regular", "scale_free", "file")
 
@@ -51,11 +52,14 @@ class CellSpec:
     adversary_placement: str
     adversary_active: bool
 
-    def sort_key(self):
-        return (self.topology, self.protocol, self.broadcast_mode,
-                -1.0 if self.broadcast_probability is None else self.broadcast_probability,
-                -1.0 if self.adversary_ratio is None else self.adversary_ratio,
-                self.adversary_placement, self.adversary_active)
+
+@contextmanager
+def _config_key(key):
+    """Re-raise a ParameterError from the code that owns a check under its config key."""
+    try:
+        yield
+    except ParameterError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 @dataclass
@@ -100,52 +104,39 @@ class ExperimentConfig:
             stake_mu=self.stake_mu, stake_sigma=self.stake_sigma)
 
     def validate(self):
+        """Check every value; checks owned by other objects run there."""
         for kind in self.topology_kinds:
             if kind not in TOPOLOGY_KINDS:
                 raise ConfigError(f"topology.kind: unknown topology {kind!r}")
         if not self.topology_kinds:
             raise ConfigError("topology.kind: need at least one topology")
         if "regular" in self.topology_kinds:
-            if not (3 <= self.k < self.n):
-                raise ConfigError(f"topology.k: need 3 <= k < n, got k={self.k}, n={self.n}")
-            if (self.n * self.k) % 2 != 0:
-                raise ConfigError(f"topology.k: n*k must be even, got n={self.n}, k={self.k}")
-        if "scale_free" in self.topology_kinds and not (1 <= self.m < self.n):
-            raise ConfigError(f"topology.m: need 1 <= m < n, got m={self.m}, n={self.n}")
+            with _config_key("topology.k"):
+                check_regular(self.n, self.k)
+        if "scale_free" in self.topology_kinds:
+            with _config_key("topology.m"):
+                check_scale_free(self.n, self.m)
         if "file" in self.topology_kinds and not self.graph_path:
             raise ConfigError("topology.path: required for topology.kind = file")
-        try:
+        with _config_key("weights"):
             self.weight_spec()
-        except ParameterError as exc:
-            raise ConfigError(f"weights: {exc}") from None
         if not self.protocol_kinds:
             raise ConfigError("protocol.kind: need at least one protocol")
-        for kind in self.protocol_kinds:
-            if kind not in PROTOCOL_KINDS:
-                raise ConfigError(f"protocol.kind: unknown protocol {kind!r}")
-        for mode in self.broadcast_modes:
-            if mode not in BROADCAST_MODES:
-                raise ConfigError(f"protocol.broadcast_mode: unknown mode {mode!r}")
-        for p in self.broadcast_probabilities:
-            if not (0.0 < p <= 1.0):
-                raise ConfigError(
-                    f"protocol.broadcast_probability: must lie in (0, 1], got {p}")
-        if self.stem_cap < 1:
-            raise ConfigError(f"protocol.stem_cap: must be >= 1, got {self.stem_cap}")
-        if self.onion_path_len < 1:
-            raise ConfigError(
-                f"protocol.onion_path_len: must be >= 1, got {self.onion_path_len}")
-        if (self.adversary_ratios is None) == (self.adversary_nodes is None):
-            raise ConfigError(
-                "adversary: give exactly one of adversary.ratio or adversary.nodes")
-        if self.adversary_ratios is not None:
-            for f in self.adversary_ratios:
-                if not (0.0 <= f < 1.0):
-                    raise ConfigError(f"adversary.ratio: must lie in [0, 1), got {f}")
-        for placement in self.adversary_placements:
-            if placement not in PLACEMENTS:
-                raise ConfigError(
-                    f"adversary.placement: unknown placement {placement!r}")
+        for key, values in (("kind", self.protocol_kinds),
+                            ("broadcast_mode", self.broadcast_modes),
+                            ("broadcast_probability", self.broadcast_probabilities),
+                            ("stem_cap", (self.stem_cap,)),
+                            ("onion_path_len", (self.onion_path_len,))):
+            with _config_key(f"protocol.{key}"):
+                for value in values:
+                    ProtocolConfig(**{key: value})
+        ratios = self.adversary_ratios if self.adversary_ratios is not None else (None,)
+        with _config_key("adversary.ratio"):
+            for ratio in ratios:
+                AdversaryConfig(ratio=ratio, nodes=self.adversary_nodes)
+        with _config_key("adversary.placement"):
+            for placement in self.adversary_placements:  # ratio only fills the one-of rule
+                AdversaryConfig(ratio=0.0, placement=placement)
         if not self.estimators:
             raise ConfigError("estimator: need at least one estimator")
         for est in self.estimators:
@@ -159,7 +150,7 @@ class ExperimentConfig:
         # generated sizes here and against loaded files at run time
         if self.estimators and self.adversary_ratios is not None:
             for f in self.adversary_ratios:
-                if "file" not in self.topology_kinds and int(f * self.n + 1e-9) < 1:
+                if "file" not in self.topology_kinds and adversary_count(f, self.n) < 1:
                     raise ConfigError(
                         f"adversary.ratio: floor({f} * {self.n}) is an empty adversary "
                         f"set but estimation metrics were requested")
@@ -417,7 +408,7 @@ def _run_task(args):
     return run_cell(cfg, cell, seed)
 
 
-def _row_sort_key(row):
+def _row_order(row):
     return (row["topology"], row["n"], str(row["k_or_m"]), row["protocol"],
             row["broadcast_mode"],
             -1.0 if row["broadcast_probability"] is None else row["broadcast_probability"],
@@ -442,7 +433,7 @@ def run_experiment(cfg, out_dir=".", parallel=1):
     else:
         results = [_run_task(t) for t in tasks]
     rows = [row for chunk in results for row in chunk]
-    rows.sort(key=_row_sort_key)
+    rows.sort(key=_row_order)
 
     report_path = cfg.output_path or "report.csv"
     if not os.path.isabs(report_path):
@@ -490,17 +481,18 @@ def aggregate_rows(rows):
         agg = dict(zip(CELL_COLUMNS, key))
         agg["num_seeds"] = len(seed_rows)
         for metric in METRIC_COLUMNS:
-            vals = [r[metric] for r in seed_rows]
-            mean = sum(vals) / len(vals)
-            if len(vals) > 1:
-                var = sum((v - mean) ** 2 for v in vals) / (len(vals) - 1)
-                std = math.sqrt(var)
-            else:
-                std = 0.0
-            agg[f"{metric}_mean"] = mean
-            agg[f"{metric}_std"] = std
+            agg[f"{metric}_mean"], agg[f"{metric}_std"] = _mean_std(
+                [r[metric] for r in seed_rows])
         out.append(agg)
     return out
+
+
+def _mean_std(vals):
+    """Mean and sample (n-1) standard deviation; the std of one value is 0.0."""
+    mean = sum(vals) / len(vals)
+    if len(vals) < 2:
+        return mean, 0.0
+    return mean, math.sqrt(sum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
 
 
 AGGREGATE_COLUMNS = (CELL_COLUMNS + ["num_seeds"]
@@ -588,12 +580,6 @@ def emit_plot_data(report_path, figure, out_path=None):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(PLOT_COLUMNS)
         for metric, series, x in sorted(groups):
-            ys = groups[(metric, series, x)]
-            mean = sum(ys) / len(ys)
-            if len(ys) > 1:
-                var = sum((v - mean) ** 2 for v in ys) / (len(ys) - 1)
-                err = math.sqrt(var)
-            else:
-                err = 0.0
+            mean, err = _mean_std(groups[(metric, series, x)])
             writer.writerow([figure, metric, series, repr(x), repr(mean), repr(err)])
     return out_path

@@ -7,10 +7,12 @@ assignment returns a new graph sharing the topology.
 """
 
 import logging
+import math
 
 import networkx as nx
 import numpy as np
 
+from .engine import derive_seed
 from .errors import FormatError, GenerationError, ParameterError
 
 log = logging.getLogger(__name__)
@@ -41,8 +43,14 @@ class WeightGeneratorSpec:
             raise ParameterError(f"unknown node weight mode {node_mode!r}")
         if edge_mode not in self.EDGE_MODES:
             raise ParameterError(f"unknown edge weight mode {edge_mode!r}")
+        params = (normal_mean_ms, normal_std_ms, uniform_low_ms, uniform_high_ms,
+                  stake_mu, stake_sigma)
+        if not all(math.isfinite(x) for x in params):
+            raise ParameterError(f"weight parameters must be finite, got {params}")
         if normal_mean_ms <= 0 or normal_std_ms < 0 or uniform_high_ms < uniform_low_ms:
             raise ParameterError("degenerate latency distribution parameters")
+        if stake_sigma < 0:
+            raise ParameterError(f"stake sigma must be >= 0, got {stake_sigma}")
         self.node_mode = node_mode
         self.edge_mode = edge_mode
         self.normal_mean_ms = normal_mean_ms
@@ -85,8 +93,9 @@ class NetworkGraph:
                 continue
             if not (0 <= u < n and 0 <= v < n):
                 raise ParameterError(f"edge ({u}, {v}) out of range for n={n}")
-            if l < LATENCY_FLOOR_MS:
-                raise ParameterError(f"latency {l} below floor {LATENCY_FLOOR_MS}")
+            if not LATENCY_FLOOR_MS <= l < math.inf:
+                raise ParameterError(
+                    f"latency {l} must be finite and at least {LATENCY_FLOOR_MS}")
             e = (u, v) if u < v else (v, u)
             if e in seen:  # duplicate edge, first latency wins
                 continue
@@ -101,8 +110,8 @@ class NetworkGraph:
         node_weights = np.asarray(node_weights, dtype=float)
         if node_weights.shape != (n,):
             raise ParameterError("node weight vector does not match node count")
-        if np.any(node_weights < 0):
-            raise ParameterError("node weights must be non-negative")
+        if not np.all((node_weights >= 0) & (node_weights < np.inf)):
+            raise ParameterError("node weights must be finite and non-negative")
         self.node_weights = node_weights
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
@@ -137,20 +146,26 @@ class NetworkGraph:
         return self.edge_latency[(u, v)]
 
     def is_connected(self):
-        if self.n == 1:
-            return True
-        seen = bytearray(self.n)
-        stack = [0]
-        seen[0] = 1
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v, _ in self.adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == self.n
+        return max(self._component_labels()) == 0
+
+    def _component_labels(self):
+        """Component id per node, numbered in order of each component's lowest node."""
+        # pure Python: importing scipy.sparse.csgraph (~0.4 s) would dominate graph set-up
+        comp = [-1] * self.n
+        cid = 0
+        for s in range(self.n):
+            if comp[s] >= 0:
+                continue
+            stack = [s]
+            comp[s] = cid
+            while stack:
+                u = stack.pop()
+                for v, _ in self.adj[u]:
+                    if comp[v] < 0:
+                        comp[v] = cid
+                        stack.append(v)
+            cid += 1
+        return comp
 
     def to_networkx(self):
         g = nx.Graph()
@@ -180,9 +195,18 @@ class NetworkGraph:
 # -- generation --------------------------------------------------------
 
 
-def _seed_int(seed, stream):
-    """Stable 32-bit child seed for a named stream."""
-    return int(np.random.SeedSequence((int(seed), int(stream))).generate_state(1)[0])
+def check_regular(n, k):
+    """Raise ParameterError unless a random k-regular graph on n nodes exists."""
+    if not (3 <= k < n):
+        raise ParameterError(f"random regular graph needs 3 <= k < n, got k={k}, n={n}")
+    if (n * k) % 2 != 0:
+        raise ParameterError(f"n*k must be even, got n={n}, k={k}")
+
+
+def check_scale_free(n, m):
+    """Raise ParameterError unless preferential attachment can run with m < n."""
+    if not (1 <= m < n):
+        raise ParameterError(f"scale-free graph needs 1 <= m < n, got m={m}, n={n}")
 
 
 def gen_random_regular(n, k, seed):
@@ -191,11 +215,8 @@ def gen_random_regular(n, k, seed):
     Requires 3 <= k < n and n*k even. Regeneration is retried with perturbed
     seeds a bounded number of times if a disconnected sample comes up.
     """
-    if not (3 <= k < n):
-        raise ParameterError(f"random regular graph needs 3 <= k < n, got k={k}, n={n}")
-    if (n * k) % 2 != 0:
-        raise ParameterError(f"n*k must be even, got n={n}, k={k}")
-    base = _seed_int(seed, 101)
+    check_regular(n, k)
+    base = derive_seed(seed, 101)
     for attempt in range(_GENERATION_RETRIES):
         g = nx.random_regular_graph(k, n, seed=base + attempt)
         graph = NetworkGraph(n, list(g.edges()), check_connected=False)
@@ -209,9 +230,8 @@ def gen_random_regular(n, k, seed):
 
 def gen_scale_free(n, m, seed):
     """Scale-free graph via preferential attachment (m edges per new node)."""
-    if not (1 <= m < n):
-        raise ParameterError(f"scale-free graph needs 1 <= m < n, got m={m}, n={n}")
-    g = nx.barabasi_albert_graph(n, m, seed=_seed_int(seed, 102))
+    check_scale_free(n, m)
+    g = nx.barabasi_albert_graph(n, m, seed=derive_seed(seed, 102))
     graph = NetworkGraph(n, list(g.edges()), check_connected=False)
     if not graph.is_connected():  # attachment graphs are connected by construction
         raise GenerationError("preferential attachment produced a disconnected graph")
@@ -261,9 +281,9 @@ def load_graph(path, on_disconnected="largest"):
                 except ValueError:
                     raise FormatError(
                         f"bad latency token {toks[2]!r}", path=path, line=lineno) from None
-                if l < LATENCY_FLOOR_MS:
+                if not LATENCY_FLOOR_MS <= l < math.inf:
                     raise FormatError(
-                        f"latency {l} below floor {LATENCY_FLOOR_MS}",
+                        f"latency {l} must be finite and at least {LATENCY_FLOOR_MS}",
                         path=path, line=lineno)
             else:
                 l = 1.0
@@ -286,21 +306,8 @@ def load_graph(path, on_disconnected="largest"):
 
 
 def _largest_component(graph):
-    comp = [-1] * graph.n
-    cid = 0
-    for s in range(graph.n):
-        if comp[s] >= 0:
-            continue
-        stack = [s]
-        comp[s] = cid
-        while stack:
-            u = stack.pop()
-            for v, _ in graph.adj[u]:
-                if comp[v] < 0:
-                    comp[v] = cid
-                    stack.append(v)
-        cid += 1
-    sizes = [0] * cid
+    comp = graph._component_labels()
+    sizes = [0] * (max(comp) + 1)
     for c in comp:
         sizes[c] += 1
     keep = sizes.index(max(sizes))
@@ -335,8 +342,8 @@ def assign_weights(graph, spec, seed):
     floor are clamped, not redrawn.
     """
     m = len(graph.edges)
-    edge_rng = np.random.default_rng(_seed_int(seed, 103))
-    node_rng = np.random.default_rng(_seed_int(seed, 104))
+    edge_rng = np.random.default_rng(derive_seed(seed, 103))
+    node_rng = np.random.default_rng(derive_seed(seed, 104))
 
     if spec.edge_mode == "normal":
         lats = edge_rng.normal(spec.normal_mean_ms, spec.normal_std_ms, size=m)
@@ -382,8 +389,9 @@ def load_node_weights(graph, path):
             except ValueError:
                 raise FormatError(f"bad weight token {toks[1]!r}",
                                   path=path, line=lineno) from None
-            if w < 0:
-                raise FormatError("weights must be non-negative", path=path, line=lineno)
+            if not 0 <= w < math.inf:
+                raise FormatError(f"weight {w} must be finite and non-negative",
+                                  path=path, line=lineno)
             weights[index[toks[0]]] = w
     return NetworkGraph(graph.n, graph.edges, latencies=graph.latencies,
                         node_weights=weights, labels=graph.labels,

@@ -109,7 +109,7 @@ class TestObservations:
     def test_linkable_iff_not_circuit(self):
         run, adv = self.run_with_adversary("onion")
         phases = set()
-        for mid in adv.observed_message_ids():
+        for mid in run.message_ids:
             for o in adv.observations(mid):
                 assert o.linkable == (o.phase != PHASE_CIRCUIT)
                 phases.add(o.phase)
@@ -118,7 +118,7 @@ class TestObservations:
 
     def test_stem_observations_linkable(self):
         run, adv = self.run_with_adversary("dandelion")
-        stem_obs = [o for mid in adv.observed_message_ids()
+        stem_obs = [o for mid in run.message_ids
                     for o in adv.observations(mid) if o.phase == PHASE_STEM]
         assert stem_obs
         assert all(o.linkable for o in stem_obs)
@@ -134,7 +134,6 @@ class TestObservations:
         graph = star(4)
         adv = Adversary(graph, AdversaryConfig(nodes=(1,)))
         assert adv.observations(123) == []
-        assert adv.observed_message_ids() == []
 
 
 class TestCensorship:

@@ -9,8 +9,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.engine import (PHASE_BROADCAST, PHASE_STEM, Simulation,
-                              derive_seed, run_message, sample_originator,
-                              spawn_message)
+                              derive_seed, run_message, spawn_message)
 from gossipsim.errors import ParameterError
 from gossipsim.graphs import (NetworkGraph, WeightGeneratorSpec,
                               assign_weights, gen_random_regular,
@@ -110,29 +109,30 @@ class TestSampleOriginator:
     def one_hot_graph(self):
         return NetworkGraph(3, [(0, 1), (1, 2)], node_weights=[1.0, 0.0, 0.0])
 
+    def originators(self, graph, num_messages, seed, **kwargs):
+        sim = Simulation(graph, broadcast_all(graph), num_messages=num_messages,
+                         seed=seed, **kwargs)
+        return sim.run().originators
+
     def test_point_mass_weight(self):
         g = self.one_hot_graph()
-        rng = random.Random(0)
-        assert all(sample_originator(g, rng) == 0 for _ in range(50))
+        assert all(o == 0 for o in self.originators(g, 50, seed=0))
 
     def test_all_zero_weights_rejected(self):
         g = NetworkGraph(2, [(0, 1)], node_weights=[0.0, 0.0])
         with pytest.raises(ParameterError):
-            sample_originator(g, random.Random(0))
+            self.originators(g, 1, seed=0)
 
     def test_uniform_weights_uniform_frequencies(self):
         g = gen_random_regular(10, 4, seed=0)
-        rng = random.Random(42)
         counts = [0] * 10
-        for _ in range(10000):
-            counts[sample_originator(g, rng)] += 1
+        for o in self.originators(g, 10000, seed=42):
+            counts[o] += 1
         assert all(abs(c / 10000 - 0.1) < 0.02 for c in counts)
 
     def test_flag_off_ignores_weights(self):
         g = self.one_hot_graph()
-        rng = random.Random(3)
-        seen = {sample_originator(g, rng, use_node_weights=False)
-                for _ in range(200)}
+        seen = set(self.originators(g, 200, seed=3, use_node_weights=False))
         assert seen == {0, 1, 2}
 
 
@@ -186,6 +186,17 @@ class TestSimulation:
         run = Simulation(graph, proto, adversary=adv, num_messages=50,
                          seed=0).run()
         assert not set(run.originators) & set(adv.nodes)
+
+    def test_reused_adversary_rejected(self):
+        graph = gen_random_regular(20, 4, seed=0)
+        proto = broadcast_all(graph)
+        adv = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
+        Simulation(graph, proto, adversary=adv, num_messages=5, seed=0).run()
+        with pytest.raises(ParameterError):
+            Simulation(graph, proto, adversary=adv, num_messages=5, seed=1).run()
+        fresh = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
+        run = Simulation(graph, proto, adversary=fresh, num_messages=5, seed=1).run()
+        assert run.message_ids == [0, 1, 2, 3, 4]
 
     def test_all_nodes_adversarial_rejected(self):
         graph = path_graph()

@@ -10,7 +10,7 @@ from gossipsim.engine import PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_STEM
 from gossipsim.errors import ParameterError
 from gossipsim.estimators import (CandidateDistribution, NoObservation,
                                   estimate_first_reach, estimate_first_sent,
-                                  refine_dandelion, uniform_distribution)
+                                  refine_dandelion)
 from gossipsim.graphs import NetworkGraph
 from gossipsim.protocols import AnonymityGraph
 
@@ -23,25 +23,20 @@ class TestCandidateDistribution:
     def test_top_ranked_entropy(self):
         d = CandidateDistribution(0, {0: 0.5, 1: 0.25, 2: 0.25})
         assert d.top() == 0
-        assert d.ranked() == [0, 1, 2]
         assert d.entropy_bits() == pytest.approx(1.5)
 
     def test_top_tie_breaks_low_id(self):
         d = CandidateDistribution(0, {4: 0.5, 2: 0.5})
         assert d.top() == 2
-        assert d.ranked() == [2, 4]
 
     def test_empty_rejected(self):
         with pytest.raises(ParameterError):
             CandidateDistribution(0, {}).top()
 
     def test_uniform(self):
-        d = uniform_distribution(3, [0, 1, 2, 3])
+        d = CandidateDistribution(3, {u: 0.25 for u in range(4)})
         assert d.message_id == 3
-        assert d.probs == {u: 0.25 for u in range(4)}
         assert d.entropy_bits() == pytest.approx(2.0)
-        with pytest.raises(ParameterError):
-            uniform_distribution(0, [])
 
 
 class TestFirstReach:

@@ -8,7 +8,7 @@ import pytest
 from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.engine import Simulation
 from gossipsim.errors import ParameterError
-from gossipsim.estimators import CandidateDistribution, uniform_distribution
+from gossipsim.estimators import CandidateDistribution
 from gossipsim.evaluator import (EvaluationReport, build_distributions,
                                  compute_report, evaluate, rank_of)
 from gossipsim.graphs import (WeightGeneratorSpec, assign_weights,
@@ -34,14 +34,14 @@ class TestRankOf:
         assert rank_of(d, 1, 10) == 1.5
 
     def test_uniform_support_mid_rank(self):
-        d = uniform_distribution(0, [0, 1, 2, 3])
+        d = dist({u: 0.25 for u in range(4)})
         assert rank_of(d, 2, 10) == 2.5
 
     def test_zero_mass_tail_mid_rank(self):
         # wrong point mass: originator sits mid-way through the 9 zero nodes
         assert rank_of(dist({3: 1.0}), 0, 10) == 6.0
         # support of 4, originator outside it, 6 zero nodes behind
-        assert rank_of(uniform_distribution(0, [1, 2, 3, 4]), 0, 10) == 7.5
+        assert rank_of(dist({u: 0.25 for u in range(1, 5)}), 0, 10) == 7.5
 
     def test_unobserved_is_uniform_guess(self):
         assert rank_of(None, 0, 10) == 5.5

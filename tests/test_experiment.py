@@ -119,6 +119,49 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_config("protocol.broadcast_probability = 0.0\n")
 
+    @pytest.mark.parametrize("fields, key", [
+        ({"topology_kinds": ("torus",)}, "topology.kind"),
+        ({"topology_kinds": ()}, "topology.kind"),
+        ({"k": 2}, "topology.k"),
+        ({"n": 101, "k": 5}, "topology.k"),
+        ({"topology_kinds": ("scale_free",), "m": 0}, "topology.m"),
+        ({"topology_kinds": ("file",)}, "topology.path"),
+        ({"node_mode": "flat"}, "weights"),
+        ({"edge_mode": "pareto"}, "weights"),
+        ({"normal_mean_ms": 0.0}, "weights"),
+        ({"normal_std_ms": math.nan}, "weights"),
+        ({"uniform_low_ms": 300.0}, "weights"),
+        ({"stake_mu": math.inf}, "weights"),
+        ({"stake_sigma": -1.0}, "weights"),
+        ({"protocol_kinds": ()}, "protocol.kind"),
+        ({"protocol_kinds": ("flood",)}, "protocol.kind"),
+        ({"broadcast_modes": ("half",)}, "protocol.broadcast_mode"),
+        ({"broadcast_probabilities": (0.5, 0.0)}, "protocol.broadcast_probability"),
+        ({"stem_cap": 0}, "protocol.stem_cap"),
+        ({"onion_path_len": 0}, "protocol.onion_path_len"),
+        ({"adversary_ratios": (1.0,)}, "adversary.ratio"),
+        ({"adversary_nodes": (1, 2)}, "adversary.ratio"),
+        ({"adversary_ratios": (0.0001,)}, "adversary.ratio"),
+        ({"adversary_placements": ("pagerank",)}, "adversary.placement"),
+        ({"adversary_ratios": None, "adversary_nodes": ()}, "adversary.nodes"),
+        ({"estimators": ()}, "estimator"),
+        ({"estimators": ("centroid",)}, "estimator"),
+        ({"num_messages": 0}, "num_messages"),
+        ({"seeds": ()}, "seeds"),
+    ])
+    def test_error_names_its_key(self, fields, key):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**fields).validate()
+        assert str(err.value).startswith(f"{key}:")
+
+    @pytest.mark.parametrize("line", ["weights.normal_std_ms = nan",
+                                      "weights.uniform_low_ms = nan",
+                                      "weights.stake_mu = inf"])
+    def test_non_finite_weights_rejected(self, line):
+        with pytest.raises(ConfigError) as err:
+            parse_config(line)
+        assert str(err.value).startswith("weights:")
+
     def test_empty_adversary_with_estimators_rejected(self):
         with pytest.raises(ConfigError) as err:
             parse_config("topology.n = 100\ntopology.k = 10\n"
@@ -299,6 +342,12 @@ class TestCli:
         bad.write_text("protocol.kind = flood\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert main(["validate", "--config", str(bad)]) == 2
+
+    def test_non_finite_weights_exit_2(self, tmp_path):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("weights.normal_std_ms = nan\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 3

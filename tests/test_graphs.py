@@ -1,15 +1,20 @@
 """Tests for topology generation, import/export, weights and centrality."""
 
 import math
+import os
+import subprocess
+import sys
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gossipsim.errors import FormatError, ParameterError
 from gossipsim.graphs import (LATENCY_FLOOR_MS, NetworkGraph,
-                              WeightGeneratorSpec, assign_weights,
-                              gen_random_regular, gen_scale_free,
-                              get_central_nodes, load_graph,
+                              WeightGeneratorSpec, _largest_component,
+                              assign_weights, gen_random_regular,
+                              gen_scale_free, get_central_nodes, load_graph,
                               load_node_weights, save_graph)
 
 
@@ -38,6 +43,13 @@ class TestNetworkGraph:
         with pytest.raises(ParameterError):
             NetworkGraph(4, [(0, 1), (2, 3)])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_latency_and_weight_rejected(self, bad):
+        with pytest.raises(ParameterError):
+            NetworkGraph(2, [(0, 1)], latencies=[bad])
+        with pytest.raises(ParameterError):
+            NetworkGraph(2, [(0, 1)], node_weights=[1.0, bad])
+
     def test_edge_out_of_range(self):
         with pytest.raises(ParameterError):
             NetworkGraph(2, [(0, 2)])
@@ -46,6 +58,40 @@ class TestNetworkGraph:
         g = triangle()
         assert g.neighbors(1) == [0, 2]
         assert g.degree(1) == 2
+
+
+# random small edge lists, self-loops and duplicates included
+edge_lists = st.integers(1, 9).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                         max_size=12)))
+
+
+class TestComponents:
+    def test_setup_path_leaves_scipy_sparse_unloaded(self):
+        # the component labelling stays pure Python: importing scipy.sparse costs
+        # more than building the graphs
+        code = ("import sys, gossipsim as g\n"
+                "spec = g.WeightGeneratorSpec()\n"
+                "g.assign_weights(g.gen_random_regular(50, 4, 0), spec, 0)\n"
+                "g.assign_weights(g.gen_scale_free(50, 3, 0), spec, 0)\n"
+                "assert 'scipy.sparse' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(edge_lists)
+    def test_matches_networkx(self, case):
+        n, edges = case
+        g = NetworkGraph(n, edges, check_connected=False)
+        ref = nx.Graph()
+        ref.add_nodes_from(range(n))
+        ref.add_edges_from((u, v) for u, v in edges if u != v)
+        assert g.is_connected() == nx.is_connected(ref)
+        comps = list(nx.connected_components(ref))
+        keep = min(comps, key=lambda c: (-len(c), min(c)))
+        kept = _largest_component(g)
+        assert kept.labels == [str(u) for u in sorted(keep)]
+        assert len(kept.edges) == ref.subgraph(keep).number_of_edges()
 
 
 class TestGenerators:
@@ -145,6 +191,21 @@ class TestLoadSave:
         assert g.n == 3
         assert g.labels == ["0", "1", "2"]
 
+    def test_equal_components_keep_lowest_ids(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        path.write_text("0 1\n2 3\n")
+        g = load_graph(path)
+        assert g.labels == ["0", "1"]
+        assert g.edges == [(0, 1)]
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_non_finite_latency_token_rejected(self, tmp_path, token):
+        path = tmp_path / "lat.txt"
+        path.write_text(f"0 1 50.0\n1 2 {token}\n")
+        with pytest.raises(FormatError) as err:
+            load_graph(path)
+        assert err.value.line == 2
+
     def test_disconnected_error_mode(self, tmp_path):
         path = tmp_path / "two.txt"
         path.write_text("0 1\n5 6\n")
@@ -209,6 +270,16 @@ class TestWeights:
             WeightGeneratorSpec(normal_std_ms=-1.0)
         with pytest.raises(ParameterError):
             WeightGeneratorSpec(normal_mean_ms=0.0)
+        with pytest.raises(ParameterError):
+            WeightGeneratorSpec(stake_sigma=-1.0)
+
+    @pytest.mark.parametrize("param", ["normal_mean_ms", "normal_std_ms",
+                                       "uniform_low_ms", "uniform_high_ms",
+                                       "stake_mu", "stake_sigma"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_spec_rejected(self, param, bad):
+        with pytest.raises(ParameterError):
+            WeightGeneratorSpec(**{param: bad})
 
     def test_node_weight_file_override(self, tmp_path):
         g = assign_weights(triangle(), WeightGeneratorSpec(), seed=0)
@@ -225,6 +296,14 @@ class TestWeights:
         path.write_text("7 5.0\n")
         with pytest.raises(FormatError):
             load_node_weights(g, path)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_node_weight_file_non_finite(self, tmp_path, token):
+        path = tmp_path / "weights.txt"
+        path.write_text(f"0 5.0\n1 {token}\n")
+        with pytest.raises(FormatError) as err:
+            load_node_weights(triangle(), path)
+        assert err.value.line == 2
 
 
 class TestCentrality:
