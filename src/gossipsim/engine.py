@@ -6,9 +6,19 @@ makes runs with equal timestamps deterministic. The engine records each node's
 first receipt, hands every delivery at an adversarial node to the adversary
 (which may censor it), and otherwise lets the active protocol enqueue
 successor events.
+
+The fluff phase is label-setting, as in Dijkstra's algorithm: a broadcast
+delivery to an honest node is queued only if it is earlier than every
+delivery already queued for that node and the node has not yet forwarded.
+Such a delivery would pop after the earlier one and change nothing, so the
+run is the same as if every duplicate were queued. Deliveries to adversarial
+nodes are always queued, so the adversary sees each one in delivery order.
+Stem and circuit deliveries are always queued too: they flip coins even when
+they reach a node twice.
 """
 
 import heapq
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -28,6 +38,9 @@ PHASE_NAMES = {PHASE_STEM: "stem", PHASE_CIRCUIT: "circuit", PHASE_BROADCAST: "b
 
 _EMPTY = frozenset()
 
+# fluff_arrival of a node that has fanned the message out
+FORWARDED = -math.inf
+
 
 def derive_seed(seed, *stream):
     """Stable child seed for a named stream of a master seed."""
@@ -41,11 +54,16 @@ class SimMessage:
     first_receipt maps node -> first delivery time (the originator is in it
     from spawn). queue is the pending event heap; each entry is
     (deliver_at, seq, from_node, to_node, phase, hop) where hop counts stem
-    edges (or the circuit position for onion routing).
+    edges (or the circuit position for onion routing). fluff_arrival maps
+    node -> earliest broadcast delivery queued for it, or -inf once the node
+    has fanned the message out. watched is the adversarial node set, whose
+    broadcast deliveries are queued even when they cannot improve an arrival;
+    run_message sets it before draining the queue. events lists the popped
+    events when run_message is asked to keep them.
     """
 
     __slots__ = ("mid", "originator", "t0", "rng", "phase", "first_receipt",
-                 "queue", "broadcast_done", "circuit", "spread_ratio",
+                 "queue", "fluff_arrival", "watched", "circuit", "spread_ratio",
                  "events", "_seq")
 
     def __init__(self, mid, originator, t0=0.0, rng=None):
@@ -56,7 +74,8 @@ class SimMessage:
         self.phase = PHASE_BROADCAST
         self.first_receipt = {originator: t0}
         self.queue = []
-        self.broadcast_done = set()
+        self.fluff_arrival = {}
+        self.watched = _EMPTY
         self.circuit = None
         self.spread_ratio = 0.0
         self.events = None
@@ -93,10 +112,12 @@ def spawn_message(originator, protocol, mid=0, t0=0.0, rng=None):
 def run_message(msg, protocol, adversary=None, keep_events=False):
     """Drain the message's event queue; returns the message with spread set.
 
-    Every delivery records a first receipt (duplicates are ignored for state
-    but still shown to the adversary). Deliveries at adversarial nodes are
-    logged by the adversary; if it censors, the protocol callback is
-    suppressed and the message simply stops there.
+    Every popped delivery records a first receipt if it is the node's first.
+    Deliveries at adversarial nodes are logged by the adversary, duplicates
+    included; if it censors, the protocol callback is suppressed and the
+    message simply stops there. A broadcast duplicate to an honest node that
+    cannot improve its arrival is never queued (see the module docstring), so
+    keep_events lists the popped events, not every send.
     """
     if keep_events:
         msg.events = []
@@ -111,6 +132,8 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     else:
         adv_nodes = _EMPTY
         observe = None
+    # set only now: spawn sends to each node at most once, so it sent no duplicate
+    msg.watched = adv_nodes
     mid = msg.mid
     while queue:
         t, _seq, frm, to, phase, hop = pop(queue)

@@ -19,8 +19,8 @@ from .engine import Simulation
 from .errors import ConfigError, ParameterError, SchemaError
 from .evaluator import ESTIMATORS, evaluate
 from .graphs import (WeightGeneratorSpec, assign_weights, check_regular,
-                     check_scale_free, gen_random_regular, gen_scale_free,
-                     load_graph, load_node_weights)
+                     check_scale_free, check_stake, gen_random_regular,
+                     gen_scale_free, load_graph, load_node_weights)
 from .protocols import STEM_KINDS, ProtocolConfig, make_protocol
 
 TOPOLOGY_KINDS = ("regular", "scale_free", "file")
@@ -120,6 +120,9 @@ class ExperimentConfig:
             raise ConfigError("topology.path: required for topology.kind = file")
         with _config_key("weights"):
             self.weight_spec()
+        if self.node_mode == "stake":
+            with _config_key("weights.stake_mu"):
+                check_stake(self.stake_mu, self.stake_sigma)
         if not self.protocol_kinds:
             raise ConfigError("protocol.kind: need at least one protocol")
         for key, values in (("kind", self.protocol_kinds),

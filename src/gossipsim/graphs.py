@@ -23,6 +23,13 @@ LATENCY_FLOOR_MS = 1.0
 
 _GENERATION_RETRIES = 100
 
+# Log-normal stakes are exp(stake_mu + stake_sigma * z), z standard normal.
+# Under this bound on |stake_mu| + 10 stake_sigma (|z| > 10 has probability
+# 1.5e-23), every draw lies in [e^-690, e^690]: positive, and finite even
+# summed over 10^8 nodes.
+STAKE_LOG_BOUND = 690.0
+STAKE_TAIL_SIGMAS = 10.0
+
 
 class WeightGeneratorSpec:
     """How to draw node weights and edge latencies.
@@ -209,6 +216,15 @@ def check_scale_free(n, m):
         raise ParameterError(f"scale-free graph needs 1 <= m < n, got m={m}, n={n}")
 
 
+def check_stake(mu, sigma):
+    """Raise ParameterError unless log-normal stakes and their sum stay finite."""
+    if abs(mu) + STAKE_TAIL_SIGMAS * sigma > STAKE_LOG_BOUND:
+        raise ParameterError(
+            f"|stake_mu| + {STAKE_TAIL_SIGMAS:g} * stake_sigma must be at most "
+            f"{STAKE_LOG_BOUND:g} for log-normal stakes to stay finite, got "
+            f"|{mu:g}| + {STAKE_TAIL_SIGMAS:g} * {sigma:g}")
+
+
 def gen_random_regular(n, k, seed):
     """Connected random k-regular graph on n nodes.
 
@@ -354,6 +370,7 @@ def assign_weights(graph, spec, seed):
     lats = np.maximum(lats, LATENCY_FLOOR_MS)
 
     if spec.node_mode == "stake":
+        check_stake(spec.stake_mu, spec.stake_sigma)
         weights = node_rng.lognormal(spec.stake_mu, spec.stake_sigma, size=graph.n)
     else:
         weights = np.ones(graph.n)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_STEM, derive_seed
+from .engine import (FORWARDED, PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_STEM,
+                     derive_seed)
 from .errors import ParameterError
 
 PROTOCOL_KINDS = ("broadcast", "dandelion", "dandelion_pp", "onion")
@@ -140,25 +141,34 @@ class _BroadcastBase:
 
         sender < 0 marks a fresh source (spawn, stem or circuit exit): nothing
         is excluded there, which keeps floods complete even when the exit's
-        only neighbor is the node that fed it.
+        only neighbor is the node that fed it. A delivery to an honest node is
+        queued only if it is earlier than the node's fluff arrival so far (see
+        the engine module); sqrt mode draws its sample either way.
         """
-        done = msg.broadcast_done
-        if node in done:
+        arrival = msg.fluff_arrival
+        if arrival.get(node) == FORWARDED:
             return
-        done.add(node)
+        arrival[node] = FORWARDED
         adj = self.graph.adj[node]
-        push = msg.push
         if self.mode_all:
-            for w, lat in adj:
-                if w != sender:
-                    push(t + lat, node, w, PHASE_BROADCAST)
-            return
-        c = self._fan[node]
-        pool = adj
-        if 0 <= sender and len(adj) > c:
-            pool = [p for p in adj if p[0] != sender]
-        for w, lat in msg.rng.sample(pool, c):
-            push(t + lat, node, w, PHASE_BROADCAST)
+            targets, excluded = adj, sender
+        else:
+            c = self._fan[node]
+            pool = adj
+            if 0 <= sender and len(adj) > c:
+                pool = [p for p in adj if p[0] != sender]
+            targets, excluded = msg.rng.sample(pool, c), -1
+        watched = msg.watched
+        push = msg.push
+        for w, lat in targets:
+            if w == excluded:
+                continue
+            at = t + lat
+            if at < arrival.get(w, math.inf):
+                arrival[w] = at
+            elif w not in watched:
+                continue
+            push(at, node, w, PHASE_BROADCAST)
 
 
 class BroadcastProtocol(_BroadcastBase):

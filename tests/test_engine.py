@@ -59,6 +59,38 @@ class TestRunMessage:
         # the slow duplicate delivery still happened
         assert (100.0, 0, 2, PHASE_BROADCAST) in msg.events
 
+    def fast_spokes(self):
+        # node 1's fanout reaches node 2 over the slow edge at 6.0, after 0 -> 2 at 1.0
+        return NetworkGraph(3, [(0, 1), (0, 2), (1, 2)], latencies=[1.0, 1.0, 5.0])
+
+    def test_honest_duplicate_not_queued(self):
+        proto = broadcast_all(self.fast_spokes())
+        msg = run_message(spawn_message(0, proto), proto, keep_events=True)
+        assert msg.first_receipt == {0: 0.0, 1: 1.0, 2: 1.0}
+        assert (6.0, 1, 2, PHASE_BROADCAST) not in msg.events
+        assert msg.events == [(1.0, 0, 1, PHASE_BROADCAST), (1.0, 0, 2, PHASE_BROADCAST)]
+
+    def test_duplicate_to_adversary_delivered(self):
+        graph = self.fast_spokes()
+        proto = broadcast_all(graph)
+        adv = Adversary(graph, AdversaryConfig(nodes=(2,), active=False))
+        msg = run_message(spawn_message(0, proto), proto, adversary=adv,
+                          keep_events=True)
+        assert (6.0, 1, 2, PHASE_BROADCAST) in msg.events
+        assert [(o.sender, o.arrival) for o in adv.observations(0)] == [(0, 1.0), (1, 6.0)]
+        assert msg.first_receipt[2] == 1.0
+
+    def test_stem_revisits_queued(self):
+        # three nodes, five stem hops: the stem must deliver to some node twice
+        graph = NetworkGraph(3, [(0, 1), (1, 2), (0, 2)])
+        cfg = ProtocolConfig(kind="dandelion", broadcast_probability=1e-9, stem_cap=5)
+        proto = make_protocol(graph, cfg, seed=0)
+        msg = run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
+                          keep_events=True)
+        stem = [(frm, to) for _t, frm, to, phase in msg.events if phase == PHASE_STEM]
+        assert len(stem) == 5
+        assert len({to for _frm, to in stem}) < 5
+
     def test_pop_order_monotone(self):
         graph = assign_weights(gen_random_regular(60, 4, seed=1),
                                WeightGeneratorSpec(), seed=1)

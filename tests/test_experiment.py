@@ -148,6 +148,9 @@ class TestParsing:
         ({"estimators": ("centroid",)}, "estimator"),
         ({"num_messages": 0}, "num_messages"),
         ({"seeds": ()}, "seeds"),
+        ({"stake_mu": 800.0}, "weights.stake_mu"),
+        ({"stake_mu": -800.0}, "weights.stake_mu"),
+        ({"stake_sigma": 70.0}, "weights.stake_mu"),
     ])
     def test_error_names_its_key(self, fields, key):
         with pytest.raises(ConfigError) as err:
@@ -348,6 +351,16 @@ class TestCli:
         bad.write_text("weights.normal_std_ms = nan\n")
         assert main(["validate", "--config", str(bad)]) == 2
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+
+    def test_overflowing_stake_exits_2(self, tmp_path, capsys):
+        # a finite stake_mu whose log-normal draw overflows fails before the sweep starts
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMOKE_CONFIG + "weights.stake_mu = 800\n")
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "weights.stake_mu:" in err and "at most 690" in err
+        assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 3

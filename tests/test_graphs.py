@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gossipsim.errors import FormatError, ParameterError
-from gossipsim.graphs import (LATENCY_FLOOR_MS, NetworkGraph,
+from gossipsim.graphs import (LATENCY_FLOOR_MS, STAKE_LOG_BOUND, NetworkGraph,
                               WeightGeneratorSpec, _largest_component,
                               assign_weights, gen_random_regular,
                               gen_scale_free, get_central_nodes, load_graph,
@@ -250,6 +250,20 @@ class TestWeights:
     def test_stake_weights_positive(self):
         g = assign_weights(triangle(), WeightGeneratorSpec(node_mode="stake"), seed=3)
         assert all(w > 0 for w in g.node_weights)
+
+    def test_stake_at_bound_finite(self):
+        spec = WeightGeneratorSpec(stake_mu=STAKE_LOG_BOUND, stake_sigma=0.0)
+        g = assign_weights(gen_random_regular(100, 4, seed=0), spec, seed=0)
+        assert 0.0 < g.node_weights.sum() < math.inf
+
+    @pytest.mark.parametrize("mu, sigma", [(800.0, 1.5), (-800.0, 1.5), (7.0, 70.0)])
+    def test_stake_past_bound_rejected_before_draw(self, mu, sigma):
+        spec = WeightGeneratorSpec(stake_mu=mu, stake_sigma=sigma)
+        with pytest.raises(ParameterError, match="at most 690"):
+            assign_weights(triangle(), spec, seed=0)
+        # uniform node weights never draw stakes
+        uniform = WeightGeneratorSpec(node_mode="uniform", stake_mu=mu, stake_sigma=sigma)
+        assert assign_weights(triangle(), uniform, seed=0).node_weights.tolist() == [1.0] * 3
 
     def test_uniform_node_weights(self):
         g = assign_weights(triangle(), WeightGeneratorSpec(node_mode="uniform"),

@@ -1,0 +1,136 @@
+"""Property tests for the engine: the relax-and-skip fluff phase gives the same
+run as queueing every duplicate, and a flood to all is a shortest-path
+computation."""
+
+import heapq
+import random
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+
+from gossipsim.adversary import Adversary, AdversaryConfig
+from gossipsim.engine import PHASE_BROADCAST, run_message, spawn_message
+from gossipsim.graphs import (WeightGeneratorSpec, assign_weights,
+                              gen_random_regular, gen_scale_free)
+from gossipsim.protocols import PROTOCOL_KINDS, ProtocolConfig, make_protocol
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Small random regular or scale-free graphs; 'unweighted' makes every arrival tie."""
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        n = draw(st.integers(6, 24))
+        k = draw(st.sampled_from([k for k in range(3, min(n, 8)) if n * k % 2 == 0]))
+        graph = gen_random_regular(n, k, seed)
+    else:
+        n = draw(st.integers(6, 30))
+        graph = gen_scale_free(n, draw(st.integers(1, 3)), seed)
+    edge_mode = draw(st.sampled_from(WeightGeneratorSpec.EDGE_MODES))
+    return assign_weights(graph, WeightGeneratorSpec(edge_mode=edge_mode), seed)
+
+
+def adversary_for(graph, kind, ratio, seed):
+    if kind == "none":
+        return None
+    return Adversary(graph, AdversaryConfig(ratio=ratio, active=kind == "active"),
+                     seed=seed)
+
+
+def honest_nodes(graph, adversary):
+    watched = adversary.nodes if adversary is not None else frozenset()
+    return [u for u in range(graph.n) if u not in watched]
+
+
+def reference_run(protocol, adversary, originator, mid, rng):
+    """The engine before relax-and-skip: queue every fanout send, pop every event."""
+    done = set()
+
+    def broadcast(msg, t, node, sender):
+        if node in done:
+            return
+        done.add(node)
+        adj = protocol.graph.adj[node]
+        if protocol.mode_all:
+            for w, lat in adj:
+                if w != sender:
+                    msg.push(t + lat, node, w, PHASE_BROADCAST)
+            return
+        c = protocol._fan[node]
+        pool = adj
+        if 0 <= sender and len(adj) > c:
+            pool = [p for p in adj if p[0] != sender]
+        for w, lat in msg.rng.sample(pool, c):
+            msg.push(t + lat, node, w, PHASE_BROADCAST)
+
+    protocol._broadcast = broadcast  # the instance attribute shadows the method
+    msg = spawn_message(originator, protocol, mid=mid, rng=rng)
+    watched = adversary.nodes if adversary is not None else frozenset()
+    while msg.queue:
+        t, _seq, frm, to, phase, hop = heapq.heappop(msg.queue)
+        if to not in msg.first_receipt:
+            msg.first_receipt[to] = t
+        if to in watched and adversary.observe(mid, to, frm, t, phase):
+            continue
+        protocol.on_receive(msg, t, frm, to, phase, hop)
+    msg.spread_ratio = len(msg.first_receipt) / protocol.graph.n
+    return msg
+
+
+@pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])
+@pytest.mark.parametrize("mode", ["all", "sqrt"])
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@given(graph=weighted_graphs(), seed=st.integers(0, 2 ** 16),
+       ratio=st.sampled_from([0.1, 0.3]),
+       probability=st.sampled_from([0.1, 0.5, 1.0]),
+       stem_cap=st.integers(1, 6), pick=st.integers(0, 2 ** 16))
+def test_skipping_duplicates_changes_nothing(kind, mode, adversary_kind, graph, seed,
+                                             ratio, probability, stem_cap, pick):
+    cfg = ProtocolConfig(kind=kind, broadcast_mode=mode,
+                         broadcast_probability=probability, stem_cap=stem_cap)
+    proto = make_protocol(graph, cfg, seed=seed)
+    ref_proto = make_protocol(graph, cfg, seed=seed)
+    adv = adversary_for(graph, adversary_kind, ratio, seed)
+    ref_adv = adversary_for(graph, adversary_kind, ratio, seed)
+    honest = honest_nodes(graph, adv)
+    for mid in range(3):
+        originator = honest[(pick + 7 * mid) % len(honest)]
+        msg = run_message(spawn_message(originator, proto, mid=mid,
+                                        rng=random.Random(seed + mid)), proto, adv)
+        ref = reference_run(ref_proto, ref_adv, originator, mid,
+                            random.Random(seed + mid))
+        assert msg.first_receipt == ref.first_receipt
+        assert msg.spread_ratio == ref.spread_ratio
+        assert msg.rng.getstate() == ref.rng.getstate()
+        if adv is not None:
+            assert adv.observations(mid) == ref_adv.observations(mid)
+
+
+@pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])
+@given(graph=weighted_graphs(), seed=st.integers(0, 2 ** 16),
+       ratio=st.sampled_from([0.1, 0.3]), pick=st.integers(0, 2 ** 16))
+def test_flood_to_all_is_dijkstra(adversary_kind, graph, seed, ratio, pick):
+    proto = make_protocol(graph, ProtocolConfig(kind="broadcast", broadcast_mode="all"))
+    adv = adversary_for(graph, adversary_kind, ratio, seed)
+    honest = honest_nodes(graph, adv)
+    originator = honest[pick % len(honest)]
+    msg = run_message(spawn_message(originator, proto), proto, adv)
+
+    # active adversarial nodes receive but never forward: drop their out-edges
+    sinks = adv.nodes if adversary_kind == "active" else frozenset()
+    rows, cols, vals = [], [], []
+    for (u, v), lat in zip(graph.edges, graph.latencies):
+        for a, b in ((u, v), (v, u)):
+            if a not in sinks:
+                rows.append(a)
+                cols.append(b)
+                vals.append(lat)
+    matrix = csr_matrix((vals, (rows, cols)), shape=(graph.n, graph.n))
+    dist = dijkstra(matrix, directed=True, indices=originator)
+
+    reached = {v: float(d) for v, d in enumerate(dist) if np.isfinite(d)}
+    assert msg.first_receipt == reached
