@@ -185,9 +185,12 @@ class Simulation:
             raise ParameterError("no honest nodes left to originate messages")
         self._honest = honest
         if use_node_weights:
-            cum = np.cumsum(graph.node_weights[honest])
+            with np.errstate(over="ignore"):  # an overflowed sum is rejected below
+                cum = np.cumsum(graph.node_weights[honest])
             if cum[-1] <= 0.0:
                 raise ParameterError("all honest node weights are zero")
+            if not cum[-1] < np.inf:
+                raise ParameterError("honest node weights must have a finite sum")
             self._honest_cum = cum.tolist()
         else:
             self._honest_cum = None

@@ -10,6 +10,7 @@ the presumed broadcaster is geometric in k under the protocol's own coin.
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -77,19 +78,21 @@ def estimate_first_sent(observations, graph, exclude=_EMPTY, message_id=None):
     """Point mass on the sender with the earliest estimated send time.
 
     Send time is arrival minus the latency of the (sender, observer) channel,
-    which the observer knows for its own links. Ties break to the lowest
+    which the observer knows for its own links, so every linkable observation
+    must come over an edge (as engine deliveries do). Ties break to the lowest
     sender id.
     """
-    latency = graph.edge_latency
+    adj = graph.adj
     best = None
-    for o in observations:
-        if not o.linkable or o.sender in exclude:
+    for mid, observer, sender, arrival, _phase, linkable in observations:
+        if not linkable or sender in exclude:
             continue
-        key = (o.arrival - latency[(o.sender, o.observer)], o.sender)
+        row = adj[observer]  # not the sender's: the few observer rows stay in cache
+        key = (arrival - row[bisect_left(row, (sender,))][1], sender)
         if best is None or key < best:
             best = key
         if message_id is None:
-            message_id = o.message_id
+            message_id = mid
     if best is None:
         raise NoObservation(message_id)
     return _point_mass(message_id, best[1])

@@ -324,12 +324,18 @@ _GRAPH_CACHE = {}
 
 
 def _graph_for(cfg, topology, seed):
-    """Weighted graph for one (config, topology, seed); cached per process."""
+    """Weighted graph for one (config, topology, seed).
+
+    Each process caches the graphs of the seed it is running and drops them
+    when the next seed starts; tasks run seed-major, so none is rebuilt.
+    """
     spec = cfg.weight_spec()
     key = (topology, cfg.n, cfg.k, cfg.m, cfg.graph_path, cfg.node_weight_file,
            spec.key(), seed)
     graph = _GRAPH_CACHE.get(key)
     if graph is None:
+        for old in [k for k in _GRAPH_CACHE if k[-1] != seed]:
+            del _GRAPH_CACHE[old]
         if topology == "regular":
             graph = gen_random_regular(cfg.n, cfg.k, seed)
         elif topology == "scale_free":
@@ -380,30 +386,21 @@ def run_cell(cfg, cell, seed):
     ratio = cell.adversary_ratio
     if ratio is None:
         ratio = len(adversary.nodes) / graph.n
-    rows = []
-    for estimator in cfg.estimators:
-        report = evaluate(run, adversary, graph, protocol, estimator)
-        rows.append({
-            "topology": cell.topology,
-            "n": graph.n,
-            "k_or_m": _k_or_m(cfg, cell.topology),
-            "protocol": cell.protocol,
-            "broadcast_mode": cell.broadcast_mode,
-            "broadcast_probability": cell.broadcast_probability,
-            "adversary_ratio": ratio,
-            "adversary_placement": cell.adversary_placement,
-            "adversary_active": cell.adversary_active,
-            "estimator": estimator,
-            "seed": seed,
-            "num_msg": report.num_messages,
-            "num_unobserved": report.num_unobserved,
-            "hit_ratio": report.hit_ratio,
-            "inverse_rank": report.inverse_rank,
-            "entropy": report.entropy,
-            "ndcg": report.ndcg,
-            "message_spread_ratio": report.message_spread_ratio,
-        })
-    return rows
+    cell_columns = {
+        "topology": cell.topology,
+        "n": graph.n,
+        "k_or_m": _k_or_m(cfg, cell.topology),
+        "protocol": cell.protocol,
+        "broadcast_mode": cell.broadcast_mode,
+        "broadcast_probability": cell.broadcast_probability,
+        "adversary_ratio": ratio,
+        "adversary_placement": cell.adversary_placement,
+        "adversary_active": cell.adversary_active,
+        "seed": seed,
+    }
+    return [{**cell_columns,
+             **evaluate(run, adversary, graph, protocol, estimator).as_dict()}
+            for estimator in cfg.estimators]
 
 
 def _run_task(args):

@@ -8,6 +8,7 @@ assignment returns a new graph sharing the topology.
 
 import logging
 import math
+from bisect import bisect_left
 
 import networkx as nx
 import numpy as np
@@ -80,8 +81,12 @@ class WeightGeneratorSpec:
 class NetworkGraph:
     """Undirected weighted graph with dense integer nodes.
 
-    edges are canonicalized as (u, v) with u < v and sorted, which pins the
-    iteration order used by weight assignment and export.
+    adj is the only stored edge view: adj[u] lists u's (neighbor, latency)
+    pairs sorted by neighbor, and every edge sits in both of its rows. The
+    other views are derived from it: edges (canonical (u, v) with u < v, in
+    sorted order, which pins the iteration order used by weight assignment
+    and export), latencies (in edge order), latency(u, v) and the lazy CSR
+    matrix. Self-loops are dropped; a duplicate edge keeps its first latency.
     """
 
     def __init__(self, n, edges, latencies=None, node_weights=None, labels=None,
@@ -93,8 +98,7 @@ class NetworkGraph:
             latencies = [1.0] * len(edges)
         if len(latencies) != len(edges):
             raise ParameterError("latency list does not match edge list")
-        seen = set()
-        canon = []
+        rows = [{} for _ in range(n)]
         for (u, v), l in zip(edges, latencies):
             if u == v:
                 continue
@@ -103,15 +107,10 @@ class NetworkGraph:
             if not LATENCY_FLOOR_MS <= l < math.inf:
                 raise ParameterError(
                     f"latency {l} must be finite and at least {LATENCY_FLOOR_MS}")
-            e = (u, v) if u < v else (v, u)
-            if e in seen:  # duplicate edge, first latency wins
-                continue
-            seen.add(e)
-            canon.append((e, float(l)))
-        canon.sort()
+            if v not in rows[u]:  # duplicate edge, first latency wins
+                rows[u][v] = rows[v][u] = float(l)
         self.n = n
-        self.edges = [e for e, _ in canon]
-        self.latencies = [l for _, l in canon]
+        self.adj = [sorted(row.items()) for row in rows]
         if node_weights is None:
             node_weights = np.ones(n)
         node_weights = np.asarray(node_weights, dtype=float)
@@ -123,23 +122,18 @@ class NetworkGraph:
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ParameterError("label list does not match node count")
-
-        # adjacency as parallel (neighbor, latency) lists, neighbor-sorted
-        adj = [[] for _ in range(n)]
-        lat = {}
-        for (u, v), l in canon:
-            adj[u].append((v, l))
-            adj[v].append((u, l))
-            lat[(u, v)] = l
-            lat[(v, u)] = l
-        for lst in adj:
-            lst.sort()
-        self.adj = adj
-        self.edge_latency = lat
         self._csr = None
 
         if check_connected and not self.is_connected():
             raise ParameterError("graph is not connected")
+
+    @property
+    def edges(self):
+        return [(u, v) for u, row in enumerate(self.adj) for v, _ in row if u < v]
+
+    @property
+    def latencies(self):
+        return [l for u, row in enumerate(self.adj) for v, l in row if u < v]
 
     # -- basic queries -------------------------------------------------
 
@@ -150,7 +144,12 @@ class NetworkGraph:
         return [v for v, _ in self.adj[u]]
 
     def latency(self, u, v):
-        return self.edge_latency[(u, v)]
+        """Latency of edge (u, v); KeyError if u and v are not adjacent."""
+        row = self.adj[u] if 0 <= u < self.n else ()
+        i = bisect_left(row, (v,))
+        if i < len(row) and row[i][0] == v:
+            return row[i][1]
+        raise KeyError((u, v))
 
     def is_connected(self):
         return max(self._component_labels()) == 0
@@ -182,17 +181,14 @@ class NetworkGraph:
         return g
 
     def csr_latency_matrix(self):
-        """Sparse latency matrix, built lazily (used for overlay shortest paths)."""
+        """Sparse latency matrix built lazily from adj (used for overlay shortest paths)."""
         if self._csr is None:
             from scipy.sparse import csr_matrix
-            m = len(self.edges)
-            rows = np.empty(2 * m, dtype=np.int32)
-            cols = np.empty(2 * m, dtype=np.int32)
-            vals = np.empty(2 * m, dtype=float)
-            for i, ((u, v), l) in enumerate(zip(self.edges, self.latencies)):
-                rows[2 * i], cols[2 * i], vals[2 * i] = u, v, l
-                rows[2 * i + 1], cols[2 * i + 1], vals[2 * i + 1] = v, u, l
-            self._csr = csr_matrix((vals, (rows, cols)), shape=(self.n, self.n))
+            indptr = np.cumsum([0] + [len(row) for row in self.adj], dtype=np.int32)
+            pairs = [p for row in self.adj for p in row]
+            indices = np.fromiter((v for v, _ in pairs), dtype=np.int32, count=len(pairs))
+            data = np.fromiter((l for _, l in pairs), dtype=float, count=len(pairs))
+            self._csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
         return self._csr
 
     def __repr__(self):
@@ -270,7 +266,7 @@ def load_graph(path, on_disconnected="largest"):
     ids = {}
     labels = []
     edges = []
-    latmap = {}
+    lats = []
 
     def node_id(tok):
         if tok not in ids:
@@ -287,10 +283,8 @@ def load_graph(path, on_disconnected="largest"):
             if len(toks) not in (2, 3):
                 raise FormatError(
                     f"expected 2 or 3 tokens, got {len(toks)}", path=path, line=lineno)
-            u, v = node_id(toks[0]), node_id(toks[1])
-            if u == v:
-                continue
-            e = (u, v) if u < v else (v, u)
+            edges.append((node_id(toks[0]), node_id(toks[1])))
+            l = 1.0
             if len(toks) == 3:
                 try:
                     l = float(toks[2])
@@ -301,17 +295,12 @@ def load_graph(path, on_disconnected="largest"):
                     raise FormatError(
                         f"latency {l} must be finite and at least {LATENCY_FLOOR_MS}",
                         path=path, line=lineno)
-            else:
-                l = 1.0
-            if e not in latmap:
-                latmap[e] = l
-                edges.append(e)
+            lats.append(l)
     if not labels:
         raise FormatError("no edges in file", path=path)
 
-    n = len(labels)
-    graph = NetworkGraph(n, edges, latencies=[latmap[e] for e in edges],
-                         labels=labels, check_connected=False)
+    graph = NetworkGraph(len(labels), edges, latencies=lats, labels=labels,
+                         check_connected=False)
     if not graph.is_connected():
         if on_disconnected == "error":
             raise FormatError("graph is not connected", path=path)
@@ -357,7 +346,8 @@ def assign_weights(graph, spec, seed):
     so changing one mode never shifts the other's draws. Latencies below the
     floor are clamped, not redrawn.
     """
-    m = len(graph.edges)
+    edges = graph.edges
+    m = len(edges)
     edge_rng = np.random.default_rng(derive_seed(seed, 103))
     node_rng = np.random.default_rng(derive_seed(seed, 104))
 
@@ -375,7 +365,7 @@ def assign_weights(graph, spec, seed):
     else:
         weights = np.ones(graph.n)
 
-    return NetworkGraph(graph.n, graph.edges, latencies=lats.tolist(),
+    return NetworkGraph(graph.n, edges, latencies=lats.tolist(),
                         node_weights=weights, labels=graph.labels,
                         check_connected=False)
 

@@ -206,7 +206,7 @@ class DandelionProtocol(_BroadcastBase):
 
     def _stem_forward(self, msg, t, node, hop):
         nxt = self.anonymity.next_relay(node, msg.mid)
-        msg.push(t + self.graph.edge_latency[(node, nxt)], node, nxt, PHASE_STEM, hop)
+        msg.push(t + self.graph.latency(node, nxt), node, nxt, PHASE_STEM, hop)
 
     def on_spawn(self, msg):
         if msg.rng.random() < self.p:

@@ -155,6 +155,12 @@ class TestSampleOriginator:
         with pytest.raises(ParameterError):
             self.originators(g, 1, seed=0)
 
+    def test_overflowing_weight_sum_rejected(self):
+        # every weight is finite, but their sum is not
+        g = NetworkGraph(3, [(0, 1), (1, 2)], node_weights=[1e308] * 3)
+        with pytest.raises(ParameterError):
+            self.originators(g, 1, seed=0)
+
     def test_uniform_weights_uniform_frequencies(self):
         g = gen_random_regular(10, 4, seed=0)
         counts = [0] * 10

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from gossipsim import experiment
 from gossipsim.cli import main
 from gossipsim.errors import ConfigError, SchemaError
 from gossipsim.experiment import (AGGREGATE_COLUMNS, FIGURE_PRESETS,
@@ -253,6 +254,17 @@ class TestRunExperiment:
         _, report2, _ = run_experiment(cfg, out_dir=str(tmp_path), parallel=2)
         assert Path(report2).read_bytes() == Path(report_path).read_bytes()
 
+    def test_graph_cache_keeps_only_current_seed(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_GRAPH_CACHE", {})
+        cfg = parse_config(SMOKE_CONFIG.replace("topology.kind = regular",
+                                                "topology.kind = regular, scale_free"))
+        one_per_topology = {cell.topology: cell for cell in cfg.cells()}.values()
+        for seed in (0, 1):
+            for cell in one_per_topology:
+                experiment.run_cell(cfg, cell, seed)
+        seeds = [key[-1] for key in experiment._GRAPH_CACHE]
+        assert seeds == [1, 1]
+
     def test_file_topology_and_explicit_nodes(self, tmp_path):
         graph_file = tmp_path / "net.txt"
         save_graph(gen_random_regular(30, 4, seed=1), graph_file)
@@ -360,6 +372,16 @@ class TestCli:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert "weights.stake_mu:" in err and "at most 690" in err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_overflowing_weight_file_exits_2(self, tmp_path, capsys):
+        # finite weights from a file whose sum overflows fail as a parameter error
+        weights = tmp_path / "weights.txt"
+        weights.write_text("".join(f"{u} 1e308\n" for u in range(60)))
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMOKE_CONFIG + f"weights.node_weight_file = {weights}\n")
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "finite sum" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_file_exits_3(self, tmp_path):

@@ -6,9 +6,11 @@ import subprocess
 import sys
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
 from gossipsim.errors import FormatError, ParameterError
 from gossipsim.graphs import (LATENCY_FLOOR_MS, STAKE_LOG_BOUND, NetworkGraph,
@@ -58,6 +60,67 @@ class TestNetworkGraph:
         g = triangle()
         assert g.neighbors(1) == [0, 2]
         assert g.degree(1) == 2
+
+    def test_adj_is_the_only_edge_store(self):
+        g = triangle()
+        assert set(vars(g)) == {"n", "adj", "node_weights", "labels", "_csr"}
+        assert g.adj[1] == [(0, 1.0), (2, 1.0)]
+
+    def test_latency_of_non_edge(self):
+        g = NetworkGraph(3, [(0, 1), (1, 2)])
+        for u, v in [(0, 2), (2, 0), (1, 1), (-1, 0), (3, 1), (1, 3)]:
+            with pytest.raises(KeyError):
+                g.latency(u, v)
+
+
+@st.composite
+def weighted_edge_lists(draw):
+    """Random (u, v, latency) lists with self-loops and duplicates in both orientations."""
+    n = draw(st.integers(1, 9))
+    node = st.integers(0, n - 1)
+    latency = st.floats(LATENCY_FLOOR_MS, 500.0)
+    edges = draw(st.lists(st.tuples(node, node, latency), max_size=16))
+    if edges:
+        repeats = draw(st.lists(st.tuples(st.integers(0, len(edges) - 1),
+                                          st.booleans(), latency), max_size=8))
+        for i, flip, l in repeats:
+            u, v, _ = edges[i]
+            edges.append((v, u, l) if flip else (u, v, l))
+    return n, draw(st.permutations(edges))
+
+
+class TestEdgeViews:
+    @given(weighted_edge_lists())
+    def test_views_match_reference(self, case):
+        n, triples = case
+        g = NetworkGraph(n, [(u, v) for u, v, _ in triples],
+                         latencies=[l for _, _, l in triples], check_connected=False)
+        ref = {}  # canonical edge -> first latency
+        for u, v, l in triples:
+            if u != v:
+                ref.setdefault((min(u, v), max(u, v)), l)
+        assert g.edges == sorted(ref)
+        assert g.latencies == [ref[e] for e in sorted(ref)]
+        for u in range(n):
+            for v in range(n):
+                e = (min(u, v), max(u, v))
+                if e in ref:
+                    assert g.latency(u, v) == g.latency(v, u) == ref[e]
+                else:
+                    with pytest.raises(KeyError):
+                        g.latency(u, v)
+
+        rows = [u for u, _ in ref] + [v for _, v in ref]
+        cols = [v for _, v in ref] + [u for u, _ in ref]
+        vals = list(ref.values()) * 2
+        expect = coo_matrix((np.array(vals, dtype=float),
+                             (np.array(rows, dtype=np.int32), np.array(cols, dtype=np.int32))),
+                            shape=(n, n)).tocsr()
+        csr = g.csr_latency_matrix()
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(csr, name), getattr(expect, name)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
 
 
 # random small edge lists, self-loops and duplicates included

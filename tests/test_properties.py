@@ -1,8 +1,10 @@
-"""Property tests for the engine: the relax-and-skip fluff phase gives the same
-run as queueing every duplicate, and a flood to all is a shortest-path
-computation."""
+"""Property tests: the relax-and-skip fluff phase gives the same run as
+queueing every duplicate, a flood to all is a shortest-path computation, the
+same seed gives the same run, refined candidate distributions are normalised
+over honest nodes and ranks stay within the honest node count."""
 
 import heapq
+import math
 import random
 
 import numpy as np
@@ -13,10 +15,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from gossipsim.adversary import Adversary, AdversaryConfig
-from gossipsim.engine import PHASE_BROADCAST, run_message, spawn_message
+from gossipsim.engine import (PHASE_BROADCAST, Simulation, run_message,
+                              spawn_message)
+from gossipsim.estimators import CandidateDistribution, refine_dandelion
+from gossipsim.evaluator import rank_of
 from gossipsim.graphs import (WeightGeneratorSpec, assign_weights,
                               gen_random_regular, gen_scale_free)
-from gossipsim.protocols import PROTOCOL_KINDS, ProtocolConfig, make_protocol
+from gossipsim.protocols import (PROTOCOL_KINDS, STEM_KINDS, ProtocolConfig,
+                                 build_anonymity_graph, make_protocol)
 
 
 @st.composite
@@ -134,3 +140,58 @@ def test_flood_to_all_is_dijkstra(adversary_kind, graph, seed, ratio, pick):
 
     reached = {v: float(d) for v, d in enumerate(dist) if np.isfinite(d)}
     assert msg.first_receipt == reached
+
+
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@given(graph=weighted_graphs(), seed=st.integers(0, 2 ** 16),
+       mode=st.sampled_from(["all", "sqrt"]),
+       adversary_kind=st.sampled_from(["none", "passive", "active"]),
+       ratio=st.sampled_from([0.1, 0.3]))
+def test_same_seed_same_run(kind, graph, seed, mode, adversary_kind, ratio):
+    cfg = ProtocolConfig(kind=kind, broadcast_mode=mode)
+    reused = make_protocol(graph, cfg, seed=seed)
+
+    def run_once(protocol, sim_seed):
+        adversary = adversary_for(graph, adversary_kind, ratio, seed)
+        run = Simulation(graph, protocol, adversary, num_messages=3, seed=sim_seed,
+                         keep_messages=True).run()
+        receipts = [msg.first_receipt for msg in run.messages]
+        logs = [adversary.observations(mid) for mid in run.message_ids] if adversary else []
+        run.messages = []
+        return run, receipts, logs
+
+    first = run_once(make_protocol(graph, cfg, seed=seed), seed)
+    run_once(reused, seed + 1)  # a protocol instance that already ran carries nothing over
+    assert run_once(reused, seed) == first
+
+
+@pytest.mark.parametrize("kind", STEM_KINDS)
+@given(graph=weighted_graphs(), seed=st.integers(0, 2 ** 16),
+       ratio=st.sampled_from([0.0, 0.1, 0.3]), p=st.floats(0.01, 1.0),
+       stem_cap=st.integers(0, 12), pick=st.integers(0, 2 ** 16))
+def test_refined_distribution_normalised_over_honest(kind, graph, seed, ratio, p,
+                                                     stem_cap, pick):
+    adversary = Adversary(graph, AdversaryConfig(ratio=ratio), seed=seed)
+    honest = honest_nodes(graph, adversary)
+    base = CandidateDistribution(0, {honest[pick % len(honest)]: 1.0})
+    anonymity = build_anonymity_graph(graph, kind, seed)
+    refined = refine_dandelion(base, anonymity, p, exclude=adversary.nodes,
+                               stem_cap=stem_cap)
+    assert math.fsum(refined.probs.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(prob > 0.0 for prob in refined.probs.values())
+    assert not set(refined.probs) & adversary.nodes
+    for originator in honest:
+        assert 1.0 <= rank_of(refined, originator, len(honest)) <= len(honest)
+
+
+@given(num_honest=st.integers(1, 30), data=st.data())
+def test_rank_within_honest_count(num_honest, data):
+    node = st.integers(0, num_honest - 1)
+    # few distinct weights, so ties are common
+    weights = data.draw(st.dictionaries(node, st.sampled_from([1.0, 2.0, 3.0])
+                                        | st.floats(0.001, 10.0), min_size=1))
+    total = sum(weights.values())
+    dist = CandidateDistribution(0, {u: w / total for u, w in weights.items()})
+    originator = data.draw(node)
+    for candidates in (dist, None):
+        assert 1.0 <= rank_of(candidates, originator, num_honest) <= num_honest
