@@ -66,15 +66,21 @@ def adversary_count(ratio, n):
     return int(ratio * n + 1e-9)
 
 
+def check_adversary_nodes(nodes, n):
+    """Raise ParameterError unless explicit nodes are ids of n nodes and leave one honest."""
+    nodes = sorted(set(nodes))
+    for u in nodes:
+        if not (0 <= u < n):
+            raise ParameterError(f"adversarial node {u} out of range for n={n}")
+    if len(nodes) >= n:
+        raise ParameterError("adversary cannot hold every node")
+
+
 def place_adversaries(graph, config, seed=0):
     """Pick the adversarial node set; returns a sorted tuple of node ids."""
     if config.nodes is not None:
         nodes = sorted(set(int(u) for u in config.nodes))
-        for u in nodes:
-            if not (0 <= u < graph.n):
-                raise ParameterError(f"adversarial node {u} out of range for n={graph.n}")
-        if len(nodes) >= graph.n:
-            raise ParameterError("adversary cannot hold every node")
+        check_adversary_nodes(nodes, graph.n)
         return tuple(nodes)
     count = adversary_count(config.ratio, graph.n)
     if config.placement == "random":
@@ -88,8 +94,6 @@ class Adversary:
     """Holds the adversarial nodes and the per-message observation logs."""
 
     def __init__(self, graph, config, seed=0):
-        self.graph = graph
-        self.config = config
         self.active = config.active
         self.protocol_aware = config.protocol_aware
         self.nodes = frozenset(place_adversaries(graph, config, seed))

@@ -27,14 +27,11 @@ import numpy as np
 
 from .errors import ParameterError
 
-# Protocol phases. Stem and circuit are the anonymity phases of the routing
-# protocols; every protocol ends in broadcast. Message-level phase only moves
-# forward (stem/circuit -> broadcast).
+# Event phases. Stem and circuit are the anonymity phases of the routing
+# protocols; every protocol ends in broadcast.
 PHASE_STEM = 0
 PHASE_CIRCUIT = 1
 PHASE_BROADCAST = 2
-
-PHASE_NAMES = {PHASE_STEM: "stem", PHASE_CIRCUIT: "circuit", PHASE_BROADCAST: "broadcast"}
 
 _EMPTY = frozenset()
 
@@ -43,16 +40,19 @@ FORWARDED = -math.inf
 
 
 def derive_seed(seed, *stream):
-    """Stable child seed for a named stream of a master seed."""
+    """Stable child seed for a named stream of a non-negative master seed."""
     ints = (int(seed),) + tuple(int(s) for s in stream)
+    if ints[0] < 0:
+        raise ParameterError(f"seed must be >= 0, got {seed}")
     return int(np.random.SeedSequence(ints).generate_state(1)[0])
 
 
 class SimMessage:
     """One message's propagation state.
 
-    first_receipt maps node -> first delivery time (the originator is in it
-    from spawn). queue is the pending event heap; each entry is
+    Every message spawns at time 0.0. first_receipt maps node -> first
+    delivery time (the originator is in it from spawn). queue is the pending
+    event heap; each entry is
     (deliver_at, seq, from_node, to_node, phase, hop) where hop counts stem
     edges (or the circuit position for onion routing). fluff_arrival maps
     node -> earliest broadcast delivery queued for it, or -inf once the node
@@ -62,17 +62,15 @@ class SimMessage:
     events when run_message is asked to keep them.
     """
 
-    __slots__ = ("mid", "originator", "t0", "rng", "phase", "first_receipt",
-                 "queue", "fluff_arrival", "watched", "circuit", "spread_ratio",
-                 "events", "_seq")
+    __slots__ = ("mid", "originator", "rng", "first_receipt", "queue",
+                 "fluff_arrival", "watched", "circuit", "spread_ratio", "events",
+                 "_seq")
 
-    def __init__(self, mid, originator, t0=0.0, rng=None):
+    def __init__(self, mid, originator, rng=None):
         self.mid = mid
         self.originator = originator
-        self.t0 = t0
         self.rng = rng if rng is not None else random.Random(mid)
-        self.phase = PHASE_BROADCAST
-        self.first_receipt = {originator: t0}
+        self.first_receipt = {originator: 0.0}
         self.queue = []
         self.fluff_arrival = {}
         self.watched = _EMPTY
@@ -87,15 +85,14 @@ class SimMessage:
 
     def __repr__(self):
         return (f"SimMessage(mid={self.mid}, originator={self.originator}, "
-                f"phase={PHASE_NAMES[self.phase]}, received={len(self.first_receipt)})")
+                f"received={len(self.first_receipt)})")
 
 
-def spawn_message(originator, protocol, mid=0, t0=0.0, rng=None):
+def spawn_message(originator, protocol, mid=0, rng=None):
     """Create a message at an originator and enqueue its initial events.
 
-    The active protocol picks the initial phase and the first events (a coin
-    flip plus either a fanout or a single stem edge for the routing
-    protocols).
+    The active protocol picks the first events (a coin flip plus either a
+    fanout or a single stem edge for the routing protocols).
     """
     graph = protocol.graph
     if not (0 <= originator < graph.n):
@@ -103,8 +100,7 @@ def spawn_message(originator, protocol, mid=0, t0=0.0, rng=None):
     if graph.degree(originator) == 0:
         # cannot happen on a connected graph with n >= 2, but guarded
         raise ParameterError(f"originator {originator} has no neighbors")
-    msg = SimMessage(mid, originator, t0=t0, rng=rng)
-    msg.phase = protocol.initial_phase
+    msg = SimMessage(mid, originator, rng=rng)
     protocol.on_spawn(msg)
     return msg
 

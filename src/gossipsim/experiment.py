@@ -14,14 +14,16 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .adversary import Adversary, AdversaryConfig, adversary_count
-from .engine import Simulation
+from .adversary import (Adversary, AdversaryConfig, adversary_count,
+                        check_adversary_nodes)
+from .engine import Simulation, derive_seed
 from .errors import ConfigError, ParameterError, SchemaError
 from .evaluator import ESTIMATORS, evaluate
 from .graphs import (WeightGeneratorSpec, assign_weights, check_regular,
                      check_scale_free, check_stake, gen_random_regular,
                      gen_scale_free, load_graph, load_node_weights)
-from .protocols import STEM_KINDS, ProtocolConfig, make_protocol
+from .protocols import (STEM_KINDS, ProtocolConfig, check_onion_path_len,
+                        make_protocol)
 
 TOPOLOGY_KINDS = ("regular", "scale_free", "file")
 
@@ -104,12 +106,17 @@ class ExperimentConfig:
             stake_mu=self.stake_mu, stake_sigma=self.stake_sigma)
 
     def validate(self):
-        """Check every value; checks owned by other objects run there."""
+        """Check every value; checks owned by other objects run there.
+
+        Checks that need the node count run against topology.n when the grid
+        has a generated topology; loaded files are checked at run time.
+        """
         for kind in self.topology_kinds:
             if kind not in TOPOLOGY_KINDS:
                 raise ConfigError(f"topology.kind: unknown topology {kind!r}")
         if not self.topology_kinds:
             raise ConfigError("topology.kind: need at least one topology")
+        generated = any(kind != "file" for kind in self.topology_kinds)
         if "regular" in self.topology_kinds:
             with _config_key("topology.k"):
                 check_regular(self.n, self.k)
@@ -133,6 +140,9 @@ class ExperimentConfig:
             with _config_key(f"protocol.{key}"):
                 for value in values:
                     ProtocolConfig(**{key: value})
+        if "onion" in self.protocol_kinds and generated:
+            with _config_key("protocol.onion_path_len"):
+                check_onion_path_len(self.onion_path_len, self.n)
         ratios = self.adversary_ratios if self.adversary_ratios is not None else (None,)
         with _config_key("adversary.ratio"):
             for ratio in ratios:
@@ -149,17 +159,22 @@ class ExperimentConfig:
             raise ConfigError(f"num_messages: must be >= 1, got {self.num_messages}")
         if not self.seeds:
             raise ConfigError("seeds: need at least one seed")
-        # estimation needs someone to observe; ratio floors are checked against
-        # generated sizes here and against loaded files at run time
-        if self.estimators and self.adversary_ratios is not None:
+        with _config_key("seeds"):
+            for seed in self.seeds:
+                derive_seed(seed)
+        # estimation needs someone to observe
+        if self.estimators and self.adversary_ratios is not None and generated:
             for f in self.adversary_ratios:
-                if "file" not in self.topology_kinds and adversary_count(f, self.n) < 1:
+                if adversary_count(f, self.n) < 1:
                     raise ConfigError(
                         f"adversary.ratio: floor({f} * {self.n}) is an empty adversary "
                         f"set but estimation metrics were requested")
         if self.estimators and self.adversary_nodes is not None and not self.adversary_nodes:
             raise ConfigError("adversary.nodes: empty adversary set but estimation "
                               "metrics were requested")
+        if self.adversary_nodes is not None and generated:
+            with _config_key("adversary.nodes"):
+                check_adversary_nodes(self.adversary_nodes, self.n)
         return self
 
     def cells(self):
@@ -328,10 +343,12 @@ def _graph_for(cfg, topology, seed):
 
     Each process caches the graphs of the seed it is running and drops them
     when the next seed starts; tasks run seed-major, so none is rebuilt.
+    run_experiment empties the cache when a sweep starts and ends, so a
+    graph file rewritten between sweeps is read again.
     """
     spec = cfg.weight_spec()
     key = (topology, cfg.n, cfg.k, cfg.m, cfg.graph_path, cfg.node_weight_file,
-           spec.key(), seed)
+           spec, seed)
     graph = _GRAPH_CACHE.get(key)
     if graph is None:
         for old in [k for k in _GRAPH_CACHE if k[-1] != seed]:
@@ -427,11 +444,15 @@ def run_experiment(cfg, out_dir=".", parallel=1):
     cells = cfg.cells()
     # seed-major order so a worker chunk reuses one seed's graphs
     tasks = [(cfg, cell, seed) for seed in cfg.seeds for cell in cells]
-    if parallel > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=parallel) as pool:
-            results = list(pool.map(_run_task, tasks, chunksize=max(1, len(cells))))
-    else:
-        results = [_run_task(t) for t in tasks]
+    _GRAPH_CACHE.clear()
+    try:
+        if parallel > 1 and len(tasks) > 1:
+            with ProcessPoolExecutor(max_workers=parallel) as pool:
+                results = list(pool.map(_run_task, tasks, chunksize=max(1, len(cells))))
+        else:
+            results = [_run_task(t) for t in tasks]
+    finally:
+        _GRAPH_CACHE.clear()
     rows = [row for chunk in results for row in chunk]
     rows.sort(key=_row_order)
 

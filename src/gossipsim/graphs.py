@@ -9,6 +9,7 @@ assignment returns a new graph sharing the topology.
 import logging
 import math
 from bisect import bisect_left
+from dataclasses import dataclass
 
 import networkx as nx
 import numpy as np
@@ -32,8 +33,9 @@ STAKE_LOG_BOUND = 690.0
 STAKE_TAIL_SIGMAS = 10.0
 
 
+@dataclass(frozen=True)
 class WeightGeneratorSpec:
-    """How to draw node weights and edge latencies.
+    """How to draw node weights and edge latencies (validated on construction).
 
     node_mode: 'stake' (log-normal) or 'uniform' (all ones).
     edge_mode: 'normal' (truncated normal in ms), 'uniform' (uniform in ms)
@@ -43,39 +45,29 @@ class WeightGeneratorSpec:
     NODE_MODES = ("stake", "uniform")
     EDGE_MODES = ("normal", "uniform", "unweighted")
 
-    def __init__(self, node_mode="stake", edge_mode="normal",
-                 normal_mean_ms=171.0, normal_std_ms=76.0,
-                 uniform_low_ms=95.0, uniform_high_ms=247.0,
-                 stake_mu=7.0, stake_sigma=1.5):
-        if node_mode not in self.NODE_MODES:
-            raise ParameterError(f"unknown node weight mode {node_mode!r}")
-        if edge_mode not in self.EDGE_MODES:
-            raise ParameterError(f"unknown edge weight mode {edge_mode!r}")
-        params = (normal_mean_ms, normal_std_ms, uniform_low_ms, uniform_high_ms,
-                  stake_mu, stake_sigma)
+    node_mode: str = "stake"
+    edge_mode: str = "normal"
+    normal_mean_ms: float = 171.0
+    normal_std_ms: float = 76.0
+    uniform_low_ms: float = 95.0
+    uniform_high_ms: float = 247.0
+    stake_mu: float = 7.0
+    stake_sigma: float = 1.5
+
+    def __post_init__(self):
+        if self.node_mode not in self.NODE_MODES:
+            raise ParameterError(f"unknown node weight mode {self.node_mode!r}")
+        if self.edge_mode not in self.EDGE_MODES:
+            raise ParameterError(f"unknown edge weight mode {self.edge_mode!r}")
+        params = (self.normal_mean_ms, self.normal_std_ms, self.uniform_low_ms,
+                  self.uniform_high_ms, self.stake_mu, self.stake_sigma)
         if not all(math.isfinite(x) for x in params):
             raise ParameterError(f"weight parameters must be finite, got {params}")
-        if normal_mean_ms <= 0 or normal_std_ms < 0 or uniform_high_ms < uniform_low_ms:
+        if (self.normal_mean_ms <= 0 or self.normal_std_ms < 0
+                or self.uniform_high_ms < self.uniform_low_ms):
             raise ParameterError("degenerate latency distribution parameters")
-        if stake_sigma < 0:
-            raise ParameterError(f"stake sigma must be >= 0, got {stake_sigma}")
-        self.node_mode = node_mode
-        self.edge_mode = edge_mode
-        self.normal_mean_ms = normal_mean_ms
-        self.normal_std_ms = normal_std_ms
-        self.uniform_low_ms = uniform_low_ms
-        self.uniform_high_ms = uniform_high_ms
-        self.stake_mu = stake_mu
-        self.stake_sigma = stake_sigma
-
-    def key(self):
-        return (self.node_mode, self.edge_mode, self.normal_mean_ms,
-                self.normal_std_ms, self.uniform_low_ms, self.uniform_high_ms,
-                self.stake_mu, self.stake_sigma)
-
-    def __repr__(self):
-        return (f"WeightGeneratorSpec(node_mode={self.node_mode!r}, "
-                f"edge_mode={self.edge_mode!r})")
+        if self.stake_sigma < 0:
+            raise ParameterError(f"stake sigma must be >= 0, got {self.stake_sigma}")
 
 
 class NetworkGraph:
@@ -250,19 +242,16 @@ def gen_scale_free(n, m, seed):
     return graph
 
 
-def load_graph(path, on_disconnected="largest"):
+def load_graph(path):
     """Read an edge-list file into a NetworkGraph.
 
     One edge per line: two whitespace-separated node tokens, optionally a third
     token with the edge latency in ms. '#' starts a comment. Tokens are
     arbitrary strings and are remapped to dense ids in first-appearance order.
     Self-loops are dropped and duplicate edges collapsed (first latency wins).
-
-    on_disconnected: 'largest' keeps the largest connected component (with a
-    warning), 'error' rejects disconnected inputs.
+    A disconnected input is reduced to its largest connected component (with a
+    warning).
     """
-    if on_disconnected not in ("largest", "error"):
-        raise ParameterError(f"unknown disconnected policy {on_disconnected!r}")
     ids = {}
     labels = []
     edges = []
@@ -302,8 +291,6 @@ def load_graph(path, on_disconnected="largest"):
     graph = NetworkGraph(len(labels), edges, latencies=lats, labels=labels,
                          check_connected=False)
     if not graph.is_connected():
-        if on_disconnected == "error":
-            raise FormatError("graph is not connected", path=path)
         graph = _largest_component(graph)
         log.warning("input graph disconnected, kept largest component with %d nodes",
                     graph.n)

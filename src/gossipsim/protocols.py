@@ -58,6 +58,14 @@ class ProtocolConfig:
             raise ParameterError(f"path length must be >= 1, got {self.onion_path_len}")
 
 
+def check_onion_path_len(path_len, n):
+    """Raise ParameterError unless a circuit of path_len relays fits in n nodes."""
+    if path_len > n - 2:
+        raise ParameterError(
+            f"path length {path_len} too long for {n} nodes "
+            f"(must leave the originator and one more node out)")
+
+
 class AnonymityGraph:
     """Pinned stem successors for one epoch.
 
@@ -119,13 +127,10 @@ def build_anonymity_graph(graph, kind, seed):
 
 
 class _BroadcastBase:
-    """Shared fluff fanout. Subclasses set initial_phase and the receive logic."""
-
-    initial_phase = PHASE_BROADCAST
+    """Shared fluff fanout. Subclasses set the spawn and receive logic."""
 
     def __init__(self, graph, config):
         self.graph = graph
-        self.config = config
         self.mode_all = config.broadcast_mode == "all"
         # ceil(sqrt(d)) per node, precomputed off the hot path
         self._fan = [0] * graph.n
@@ -174,10 +179,8 @@ class _BroadcastBase:
 class BroadcastProtocol(_BroadcastBase):
     """Flood from the originator; nothing is hidden."""
 
-    kind = "broadcast"
-
     def on_spawn(self, msg):
-        self._broadcast(msg, msg.t0, msg.originator, -1)
+        self._broadcast(msg, 0.0, msg.originator, -1)
 
     def on_receive(self, msg, t, frm, to, phase, hop):
         self._broadcast(msg, t, to, frm)
@@ -193,13 +196,10 @@ class DandelionProtocol(_BroadcastBase):
     message, pseudorandomly but stably.
     """
 
-    initial_phase = PHASE_STEM
-
     def __init__(self, graph, config, anonymity):
         super().__init__(graph, config)
         if anonymity.n != graph.n:
             raise ParameterError("anonymity graph does not match network size")
-        self.kind = config.kind
         self.anonymity = anonymity
         self.p = config.broadcast_probability
         self.stem_cap = config.stem_cap
@@ -210,16 +210,14 @@ class DandelionProtocol(_BroadcastBase):
 
     def on_spawn(self, msg):
         if msg.rng.random() < self.p:
-            msg.phase = PHASE_BROADCAST
-            self._broadcast(msg, msg.t0, msg.originator, -1)
+            self._broadcast(msg, 0.0, msg.originator, -1)
         else:
-            self._stem_forward(msg, msg.t0, msg.originator, 1)
+            self._stem_forward(msg, 0.0, msg.originator, 1)
 
     def on_receive(self, msg, t, frm, to, phase, hop):
         if phase == PHASE_BROADCAST:
             self._broadcast(msg, t, to, frm)
         elif msg.rng.random() < self.p or hop >= self.stem_cap:
-            msg.phase = PHASE_BROADCAST
             self._broadcast(msg, t, to, -1)
         else:
             self._stem_forward(msg, t, to, hop + 1)
@@ -234,17 +232,10 @@ class OnionProtocol(_BroadcastBase):
     observer could link (handled by the adversary via the phase tag).
     """
 
-    initial_phase = PHASE_CIRCUIT
-
-    kind = "onion"
-
     def __init__(self, graph, config):
         super().__init__(graph, config)
+        check_onion_path_len(config.onion_path_len, graph.n)
         self.path_len = config.onion_path_len
-        if self.path_len > graph.n - 2:
-            raise ParameterError(
-                f"path length {self.path_len} too long for {graph.n} nodes "
-                f"(must leave the originator and one more node out)")
         self._dist_rows = {}
 
     def _spdist(self, u, v):
@@ -261,7 +252,7 @@ class OnionProtocol(_BroadcastBase):
         picks = msg.rng.sample(range(self.graph.n - 1), self.path_len)
         circuit = [i + 1 if i >= o else i for i in picks]
         msg.circuit = circuit
-        msg.push(msg.t0 + self._spdist(o, circuit[0]), o, circuit[0], PHASE_CIRCUIT, 0)
+        msg.push(self._spdist(o, circuit[0]), o, circuit[0], PHASE_CIRCUIT, 0)
 
     def on_receive(self, msg, t, frm, to, phase, hop):
         if phase == PHASE_BROADCAST:
@@ -270,7 +261,6 @@ class OnionProtocol(_BroadcastBase):
             nxt = msg.circuit[hop + 1]
             msg.push(t + self._spdist(to, nxt), to, nxt, PHASE_CIRCUIT, hop + 1)
         else:
-            msg.phase = PHASE_BROADCAST
             self._broadcast(msg, t, to, -1)
 
 

@@ -152,6 +152,13 @@ class TestParsing:
         ({"stake_mu": 800.0}, "weights.stake_mu"),
         ({"stake_mu": -800.0}, "weights.stake_mu"),
         ({"stake_sigma": 70.0}, "weights.stake_mu"),
+        ({"seeds": (0, -1)}, "seeds"),
+        ({"n": 20, "k": 4, "protocol_kinds": ("onion",), "onion_path_len": 99},
+         "protocol.onion_path_len"),
+        ({"n": 20, "k": 4, "adversary_ratios": None, "adversary_nodes": (5, 500)},
+         "adversary.nodes"),
+        ({"n": 20, "k": 4, "adversary_ratios": None,
+          "adversary_nodes": tuple(range(20))}, "adversary.nodes"),
     ])
     def test_error_names_its_key(self, fields, key):
         with pytest.raises(ConfigError) as err:
@@ -264,6 +271,18 @@ class TestRunExperiment:
                 experiment.run_cell(cfg, cell, seed)
         seeds = [key[-1] for key in experiment._GRAPH_CACHE]
         assert seeds == [1, 1]
+
+    def test_rewritten_graph_file_is_reread(self, tmp_path):
+        graph_file = tmp_path / "net.txt"
+        cfg = parse_config("topology.kind = file\n"
+                           f"topology.path = {graph_file}\n"
+                           "num_messages = 2\n"
+                           "seeds = 0\n")
+        for n in (30, 40):
+            save_graph(gen_random_regular(n, 4, seed=1), graph_file)
+            rows, _, _ = run_experiment(cfg, out_dir=str(tmp_path))
+            assert rows[0]["n"] == n
+        assert not experiment._GRAPH_CACHE
 
     def test_file_topology_and_explicit_nodes(self, tmp_path):
         graph_file = tmp_path / "net.txt"
@@ -382,6 +401,14 @@ class TestCli:
         bad.write_text(SMOKE_CONFIG + f"weights.node_weight_file = {weights}\n")
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "finite sum" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMOKE_CONFIG.replace("seeds = 0..1", "seeds = -1"))
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert "seeds: seed must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_file_exits_3(self, tmp_path):

@@ -269,12 +269,6 @@ class TestLoadSave:
             load_graph(path)
         assert err.value.line == 2
 
-    def test_disconnected_error_mode(self, tmp_path):
-        path = tmp_path / "two.txt"
-        path.write_text("0 1\n5 6\n")
-        with pytest.raises(FormatError):
-            load_graph(path, on_disconnected="error")
-
     def test_roundtrip_preserves_latencies(self, tmp_path):
         g = assign_weights(gen_random_regular(12, 4, seed=5),
                            WeightGeneratorSpec(), seed=5)

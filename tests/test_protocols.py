@@ -269,4 +269,3 @@ class TestCircuitRouting:
         proto = make_protocol(graph, ProtocolConfig(kind="onion", onion_path_len=5))
         msg = run_message(spawn_message(2, proto, rng=random.Random(1)), proto)
         assert msg.spread_ratio == 1.0
-        assert msg.phase == PHASE_BROADCAST
