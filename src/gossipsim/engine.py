@@ -66,10 +66,10 @@ class SimMessage:
                  "fluff_arrival", "watched", "circuit", "spread_ratio", "events",
                  "_seq")
 
-    def __init__(self, mid, originator, rng=None):
+    def __init__(self, mid, originator, rng):
         self.mid = mid
         self.originator = originator
-        self.rng = rng if rng is not None else random.Random(mid)
+        self.rng = rng
         self.first_receipt = {originator: 0.0}
         self.queue = []
         self.fluff_arrival = {}
@@ -88,11 +88,12 @@ class SimMessage:
                 f"received={len(self.first_receipt)})")
 
 
-def spawn_message(originator, protocol, mid=0, rng=None):
+def spawn_message(originator, protocol, mid=0, *, rng):
     """Create a message at an originator and enqueue its initial events.
 
     The active protocol picks the first events (a coin flip plus either a
-    fanout or a single stem edge for the routing protocols).
+    fanout or a single stem edge for the routing protocols), drawing from rng,
+    the message's own random stream.
     """
     graph = protocol.graph
     if not (0 <= originator < graph.n):
@@ -146,36 +147,45 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
 
 @dataclass
 class SimulationRun:
-    """Outcome of a batch of messages under one protocol/adversary setup."""
+    """Outcome of a batch of messages under one protocol/adversary setup.
 
+    Message i has id i. protocol and adversary (or None) are the objects the
+    run used, which the evaluator reads; they take no part in equality.
+    """
+
+    protocol: object = field(compare=False, repr=False)
+    adversary: object = field(compare=False, repr=False)
     originators: list = field(default_factory=list)
     spread_ratios: list = field(default_factory=list)
-    message_ids: list = field(default_factory=list)
     messages: list = field(default_factory=list)  # only if keep_messages
 
 
 class Simulation:
     """Drives num_messages seeded messages through one protocol instance.
 
-    Originators are honest by construction: adversarial nodes are removed
-    from the sampling distribution (equivalent to re-drawing until an honest
-    node comes up, with a deterministic draw count). Each message gets its own
-    RNG stream derived from (seed, message id), so message order never leaks
-    randomness across messages.
+    The network is protocol.graph. The adversary, if any, must hold node ids
+    of that graph. Originators are honest by construction: adversarial nodes
+    are removed from the sampling distribution (equivalent to re-drawing until
+    an honest node comes up, with a deterministic draw count). Each message
+    gets its own RNG stream derived from (seed, message id), so message order
+    never leaks randomness across messages.
     """
 
-    def __init__(self, graph, protocol, adversary=None, num_messages=1, seed=0,
+    def __init__(self, protocol, adversary=None, num_messages=1, seed=0,
                  use_node_weights=True, keep_messages=False):
         if num_messages < 1:
             raise ParameterError("need at least one message")
-        self.graph = graph
         self.protocol = protocol
         self.adversary = adversary
         self.num_messages = num_messages
         self.seed = seed
         self.use_node_weights = use_node_weights
         self.keep_messages = keep_messages
+        graph = protocol.graph
         adv_nodes = adversary.nodes if adversary is not None else _EMPTY
+        if adv_nodes and max(adv_nodes) >= graph.n:
+            raise ParameterError(f"adversarial node {max(adv_nodes)} out of range for "
+                                 f"the protocol's graph (n={graph.n})")
         honest = [u for u in range(graph.n) if u not in adv_nodes]
         if not honest:
             raise ParameterError("no honest nodes left to originate messages")
@@ -204,7 +214,7 @@ class Simulation:
             raise ParameterError("adversary already holds observations for these "
                                  "message ids; build a fresh Adversary for each run")
         origin_rng = random.Random(derive_seed(self.seed, 6))
-        result = SimulationRun()
+        result = SimulationRun(self.protocol, self.adversary)
         for mid in range(self.num_messages):
             originator = self._draw_originator(origin_rng)
             rng = random.Random(derive_seed(self.seed, 7, mid))
@@ -213,7 +223,6 @@ class Simulation:
                         keep_events=self.keep_messages)
             result.originators.append(originator)
             result.spread_ratios.append(msg.spread_ratio)
-            result.message_ids.append(mid)
             if self.keep_messages:
                 result.messages.append(msg)
         return result

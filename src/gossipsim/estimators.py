@@ -79,8 +79,8 @@ def estimate_first_sent(observations, graph, exclude=_EMPTY, message_id=None):
 
     Send time is arrival minus the latency of the (sender, observer) channel,
     which the observer knows for its own links, so every linkable observation
-    must come over an edge (as engine deliveries do). Ties break to the lowest
-    sender id.
+    must come over an edge (as engine deliveries do); ParameterError otherwise.
+    Ties break to the lowest sender id.
     """
     adj = graph.adj
     best = None
@@ -88,7 +88,10 @@ def estimate_first_sent(observations, graph, exclude=_EMPTY, message_id=None):
         if not linkable or sender in exclude:
             continue
         row = adj[observer]  # not the sender's: the few observer rows stay in cache
-        key = (arrival - row[bisect_left(row, (sender,))][1], sender)
+        i = bisect_left(row, (sender,))
+        if i == len(row) or row[i][0] != sender:
+            raise ParameterError(f"observer {observer} has no edge to sender {sender}")
+        key = (arrival - row[i][1], sender)
         if best is None or key < best:
             best = key
         if message_id is None:

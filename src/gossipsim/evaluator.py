@@ -112,25 +112,31 @@ def compute_report(dists, originators, spread_ratios, num_honest, estimator=""):
     )
 
 
-def build_distributions(run, adversary, graph, protocol, estimator):
+def build_distributions(run, estimator):
     """Per-message candidate distributions for one estimator.
 
-    Applies the anonymity-graph refinement when the protocol has a stem and
-    the adversary is protocol-aware. Returns a list aligned with the run's
-    messages; None marks messages with no usable observation.
+    Reads the adversary, the protocol and its graph from the run. Applies the
+    anonymity-graph refinement when the protocol has a stem and the adversary
+    is protocol-aware. Returns a list aligned with the run's messages; None
+    marks messages with no usable observation.
     """
     if estimator not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}")
+    adversary = run.adversary
+    if adversary is None:
+        raise ParameterError("cannot evaluate a run that had no adversary")
+    protocol = run.protocol
     exclude = adversary.nodes
     refine = adversary.protocol_aware and getattr(protocol, "anonymity", None) is not None
     dists = []
-    for mid in run.message_ids:
+    for mid in range(len(run.originators)):
         obs = adversary.observations(mid)
         try:
             if estimator == "first_reach":
                 base = estimate_first_reach(obs, exclude=exclude, message_id=mid)
             else:
-                base = estimate_first_sent(obs, graph, exclude=exclude, message_id=mid)
+                base = estimate_first_sent(obs, protocol.graph, exclude=exclude,
+                                           message_id=mid)
             if refine:
                 base = refine_dandelion(base, protocol.anonymity, protocol.p,
                                         exclude=exclude, stem_cap=protocol.stem_cap)
@@ -140,9 +146,9 @@ def build_distributions(run, adversary, graph, protocol, estimator):
     return dists
 
 
-def evaluate(run, adversary, graph, protocol, estimator):
-    """Convenience wrapper: distributions plus report in one call."""
-    dists = build_distributions(run, adversary, graph, protocol, estimator)
-    num_honest = graph.n - len(adversary.nodes)
+def evaluate(run, estimator):
+    """Distributions plus report for one estimator, all read from the run."""
+    dists = build_distributions(run, estimator)
+    num_honest = run.protocol.graph.n - len(run.adversary.nodes)
     return compute_report(dists, run.originators, run.spread_ratios,
                           num_honest, estimator=estimator)

@@ -397,9 +397,8 @@ def run_cell(cfg, cell, seed):
         stem_cap=cfg.stem_cap,
         onion_path_len=cfg.onion_path_len)
     protocol = make_protocol(graph, proto_cfg, seed)
-    sim = Simulation(graph, protocol, adversary, num_messages=cfg.num_messages,
-                     seed=seed, use_node_weights=cfg.use_node_weights)
-    run = sim.run()
+    run = Simulation(protocol, adversary, num_messages=cfg.num_messages,
+                     seed=seed, use_node_weights=cfg.use_node_weights).run()
     ratio = cell.adversary_ratio
     if ratio is None:
         ratio = len(adversary.nodes) / graph.n
@@ -416,7 +415,7 @@ def run_cell(cfg, cell, seed):
         "seed": seed,
     }
     return [{**cell_columns,
-             **evaluate(run, adversary, graph, protocol, estimator).as_dict()}
+             **evaluate(run, estimator).as_dict()}
             for estimator in cfg.estimators]
 
 

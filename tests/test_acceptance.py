@@ -142,7 +142,8 @@ def test_requirement_01_flood_times_match_shortest_paths():
         adv = Adversary(graph, AdversaryConfig(ratio=0.1, active=False),
                         seed=trial)
         origin = rng.randrange(graph.n)
-        msg = run_message(spawn_message(origin, proto), proto, adversary=adv)
+        msg = run_message(spawn_message(origin, proto, rng=random.Random(0)), proto,
+                          adversary=adv)
         assert msg.spread_ratio == 1.0
         distances = dijkstra(graph.csr_latency_matrix(), indices=origin)
         for v in range(graph.n):
@@ -277,7 +278,7 @@ def test_requirement_06_censorship_robustness(grid_censorship):
                                   broadcast_probability=p, stem_cap=cap),
             seed)
         adv = Adversary(graph, AdversaryConfig(ratio=f, active=True), seed)
-        run = Simulation(graph, proto, adversary=adv, num_messages=250,
+        run = Simulation(proto, adversary=adv, num_messages=250,
                          seed=seed).run()
         censored += sum(1 for s in run.spread_ratios if s < 0.5)
         total += len(run.spread_ratios)
@@ -356,7 +357,7 @@ def _independent_report(graph, proto, adv, run, estimator):
     num_honest = graph.n - len(adv.nodes)
     aware = adv.protocol_aware and getattr(proto, "anonymity", None) is not None
     hits = inv = ndcg = ent = spread = 0.0
-    for mid, origin, msg in zip(run.message_ids, run.originators, run.messages):
+    for mid, (origin, msg) in enumerate(zip(run.originators, run.messages)):
         reached = {msg.originator} | {e[2] for e in msg.events}
         spread += len(reached) / graph.n
         probs = _independent_probs(graph, proto, adv, mid, estimator, aware)
@@ -377,7 +378,7 @@ def _independent_report(graph, proto, adv, run, estimator):
         inv += 1.0 / rank
         ndcg += 1.0 / math.log2(1.0 + rank)
         ent += bits
-    m = len(run.message_ids)
+    m = len(run.originators)
     return {"hit_ratio": hits / m, "inverse_rank": inv / m, "entropy": ent / m,
             "ndcg": ndcg / m, "message_spread_ratio": spread / m}
 
@@ -438,9 +439,9 @@ def test_requirement_10_metric_oracle():
         proto = make_protocol(graph, cfg, seed=3)
         adv = Adversary(graph, AdversaryConfig(ratio=0.2, protocol_aware=aware),
                         seed=3)
-        run = Simulation(graph, proto, adversary=adv, num_messages=20, seed=5,
+        run = Simulation(proto, adversary=adv, num_messages=20, seed=5,
                          keep_messages=True).run()
-        report = evaluate(run, adv, graph, proto, estimator).as_dict()
+        report = evaluate(run, estimator).as_dict()
         oracle = _independent_report(graph, proto, adv, run, estimator)
         for metric, value in oracle.items():
             assert abs(report[metric] - value) <= 1e-9, (kind, estimator,

@@ -1,13 +1,10 @@
 """Tests for adversary placement, observation logging and censorship."""
 
-import random
-
 import pytest
 
-from gossipsim.adversary import (Adversary, AdversaryConfig, Observation,
-                                 place_adversaries)
+from gossipsim.adversary import Adversary, AdversaryConfig, place_adversaries
 from gossipsim.engine import (PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_STEM,
-                              Simulation, run_message, spawn_message)
+                              Simulation)
 from gossipsim.errors import ParameterError
 from gossipsim.graphs import (NetworkGraph, WeightGeneratorSpec,
                               assign_weights, gen_random_regular)
@@ -93,13 +90,13 @@ class TestObservations:
                              onion_path_len=path_len)
         proto = make_protocol(graph, cfg, seed=3)
         adv = Adversary(graph, AdversaryConfig(ratio=0.2, active=active), seed=3)
-        sim = Simulation(graph, proto, adversary=adv, num_messages=30, seed=9,
+        sim = Simulation(proto, adversary=adv, num_messages=30, seed=9,
                          keep_messages=True)
         return sim.run(), adv
 
     def test_every_adversarial_delivery_logged_once(self):
         run, adv = self.run_with_adversary("dandelion")
-        for mid, msg in zip(run.message_ids, run.messages):
+        for mid, msg in enumerate(run.messages):
             expected = [(t, to, frm, ph) for t, frm, to, ph in msg.events
                         if to in adv.nodes]
             logged = [(o.arrival, o.observer, o.sender, o.phase)
@@ -109,7 +106,7 @@ class TestObservations:
     def test_linkable_iff_not_circuit(self):
         run, adv = self.run_with_adversary("onion")
         phases = set()
-        for mid in run.message_ids:
+        for mid in range(len(run.originators)):
             for o in adv.observations(mid):
                 assert o.linkable == (o.phase != PHASE_CIRCUIT)
                 phases.add(o.phase)
@@ -118,7 +115,7 @@ class TestObservations:
 
     def test_stem_observations_linkable(self):
         run, adv = self.run_with_adversary("dandelion")
-        stem_obs = [o for mid in run.message_ids
+        stem_obs = [o for mid in range(len(run.originators))
                     for o in adv.observations(mid) if o.phase == PHASE_STEM]
         assert stem_obs
         assert all(o.linkable for o in stem_obs)
@@ -145,7 +142,7 @@ class TestCensorship:
         spreads = []
         for nodes in nested:
             adv = Adversary(graph, AdversaryConfig(nodes=nodes, active=True))
-            sim = Simulation(graph, proto, adversary=adv, num_messages=20, seed=4)
+            sim = Simulation(proto, adversary=adv, num_messages=20, seed=4)
             spreads.append(sim.run().spread_ratios)
         for small, large in zip(spreads, spreads[1:]):
             assert all(a >= b for a, b in zip(small, large))
@@ -155,5 +152,5 @@ class TestCensorship:
                                WeightGeneratorSpec(), seed=2)
         proto = make_protocol(graph, ProtocolConfig(kind="broadcast"))
         adv = Adversary(graph, AdversaryConfig(ratio=0.2, active=False), seed=1)
-        run = Simulation(graph, proto, adversary=adv, num_messages=10, seed=4).run()
+        run = Simulation(proto, adversary=adv, num_messages=10, seed=4).run()
         assert run.spread_ratios == [1.0] * 10

@@ -28,7 +28,7 @@ def broadcast_all(graph):
 class TestRunMessage:
     def test_path_delivery_times(self):
         proto = broadcast_all(path_graph())
-        msg = run_message(spawn_message(0, proto), proto)
+        msg = run_message(spawn_message(0, proto, rng=random.Random(0)), proto)
         assert msg.first_receipt == {0: 0.0, 1: 50.0, 2: 120.0}
         assert msg.spread_ratio == 1.0
 
@@ -36,7 +36,8 @@ class TestRunMessage:
         graph = path_graph()
         proto = broadcast_all(graph)
         adv = Adversary(graph, AdversaryConfig(nodes=(1,), active=True))
-        msg = run_message(spawn_message(0, proto), proto, adversary=adv)
+        msg = run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
+                          adversary=adv)
         assert msg.first_receipt == {0: 0.0, 1: 50.0}
         assert msg.spread_ratio == pytest.approx(2.0 / 3.0)
         # the delivery itself was still observed
@@ -45,16 +46,18 @@ class TestRunMessage:
     def test_passive_adversary_does_not_interfere(self):
         graph = path_graph()
         proto = broadcast_all(graph)
-        clean = run_message(spawn_message(0, proto), proto)
+        clean = run_message(spawn_message(0, proto, rng=random.Random(0)), proto)
         adv = Adversary(graph, AdversaryConfig(nodes=(1,), active=False))
-        watched = run_message(spawn_message(0, proto), proto, adversary=adv)
+        watched = run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
+                              adversary=adv)
         assert watched.first_receipt == clean.first_receipt
 
     def test_first_receipt_keeps_earliest(self):
         graph = NetworkGraph(3, [(0, 1), (1, 2), (0, 2)],
                              latencies=[1.0, 1.0, 100.0])
         proto = broadcast_all(graph)
-        msg = run_message(spawn_message(0, proto), proto, keep_events=True)
+        msg = run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
+                          keep_events=True)
         assert msg.first_receipt[2] == 2.0  # via node 1, not the direct slow edge
         # the slow duplicate delivery still happened
         assert (100.0, 0, 2, PHASE_BROADCAST) in msg.events
@@ -65,7 +68,8 @@ class TestRunMessage:
 
     def test_honest_duplicate_not_queued(self):
         proto = broadcast_all(self.fast_spokes())
-        msg = run_message(spawn_message(0, proto), proto, keep_events=True)
+        msg = run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
+                          keep_events=True)
         assert msg.first_receipt == {0: 0.0, 1: 1.0, 2: 1.0}
         assert (6.0, 1, 2, PHASE_BROADCAST) not in msg.events
         assert msg.events == [(1.0, 0, 1, PHASE_BROADCAST), (1.0, 0, 2, PHASE_BROADCAST)]
@@ -74,8 +78,8 @@ class TestRunMessage:
         graph = self.fast_spokes()
         proto = broadcast_all(graph)
         adv = Adversary(graph, AdversaryConfig(nodes=(2,), active=False))
-        msg = run_message(spawn_message(0, proto), proto, adversary=adv,
-                          keep_events=True)
+        msg = run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
+                          adversary=adv, keep_events=True)
         assert (6.0, 1, 2, PHASE_BROADCAST) in msg.events
         assert [(o.sender, o.arrival) for o in adv.observations(0)] == [(0, 1.0), (1, 6.0)]
         assert msg.first_receipt[2] == 1.0
@@ -112,7 +116,7 @@ class TestSpawn:
     def test_broadcast_spawn_fans_to_all_neighbors(self):
         graph = NetworkGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])
         proto = broadcast_all(graph)
-        msg = spawn_message(0, proto)
+        msg = spawn_message(0, proto, rng=random.Random(0))
         targets = sorted(e[3] for e in msg.queue)
         assert targets == [1, 2, 3]
 
@@ -127,12 +131,12 @@ class TestSpawn:
     def test_out_of_range_originator(self):
         proto = broadcast_all(path_graph())
         with pytest.raises(ParameterError):
-            spawn_message(7, proto)
+            spawn_message(7, proto, rng=random.Random(0))
 
     def test_isolated_originator(self):
         proto = broadcast_all(NetworkGraph(1, []))
         with pytest.raises(ParameterError):
-            spawn_message(0, proto)
+            spawn_message(0, proto, rng=random.Random(0))
 
 
 class TestSampleOriginator:
@@ -140,7 +144,7 @@ class TestSampleOriginator:
         return NetworkGraph(3, [(0, 1), (1, 2)], node_weights=[1.0, 0.0, 0.0])
 
     def originators(self, graph, num_messages, seed, **kwargs):
-        sim = Simulation(graph, broadcast_all(graph), num_messages=num_messages,
+        sim = Simulation(broadcast_all(graph), num_messages=num_messages,
                          seed=seed, **kwargs)
         return sim.run().originators
 
@@ -198,7 +202,7 @@ class TestSimulation:
         def run_once():
             proto = make_protocol(graph, cfg, seed=4)
             adv = Adversary(graph, adv_cfg, seed=4)
-            sim = Simulation(graph, proto, adversary=adv, num_messages=20,
+            sim = Simulation(proto, adversary=adv, num_messages=20,
                              seed=7, keep_messages=True)
             return sim.run(), adv
 
@@ -208,22 +212,22 @@ class TestSimulation:
         assert ra.spread_ratios == rb.spread_ratios
         for ma, mb in zip(ra.messages, rb.messages):
             assert ma.first_receipt == mb.first_receipt
-        for mid in ra.message_ids:
+        for mid in range(len(ra.originators)):
             assert aa.observations(mid) == ab.observations(mid)
 
     def test_different_seeds_differ(self):
         graph = assign_weights(gen_scale_free(100, 3, seed=2),
                                WeightGeneratorSpec(), seed=2)
         proto = broadcast_all(graph)
-        a = Simulation(graph, proto, num_messages=20, seed=1).run()
-        b = Simulation(graph, proto, num_messages=20, seed=2).run()
+        a = Simulation(proto, num_messages=20, seed=1).run()
+        b = Simulation(proto, num_messages=20, seed=2).run()
         assert a.originators != b.originators
 
     def test_originators_honest(self):
         graph = gen_random_regular(20, 4, seed=0)
         proto = broadcast_all(graph)
         adv = Adversary(graph, AdversaryConfig(nodes=tuple(range(10))))
-        run = Simulation(graph, proto, adversary=adv, num_messages=50,
+        run = Simulation(proto, adversary=adv, num_messages=50,
                          seed=0).run()
         assert not set(run.originators) & set(adv.nodes)
 
@@ -231,12 +235,19 @@ class TestSimulation:
         graph = gen_random_regular(20, 4, seed=0)
         proto = broadcast_all(graph)
         adv = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
-        Simulation(graph, proto, adversary=adv, num_messages=5, seed=0).run()
+        Simulation(proto, adversary=adv, num_messages=5, seed=0).run()
         with pytest.raises(ParameterError):
-            Simulation(graph, proto, adversary=adv, num_messages=5, seed=1).run()
+            Simulation(proto, adversary=adv, num_messages=5, seed=1).run()
         fresh = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
-        run = Simulation(graph, proto, adversary=fresh, num_messages=5, seed=1).run()
-        assert run.message_ids == [0, 1, 2, 3, 4]
+        run = Simulation(proto, adversary=fresh, num_messages=5, seed=1).run()
+        assert len(run.originators) == 5
+
+    def test_adversary_outside_protocol_graph_rejected(self):
+        small = broadcast_all(gen_random_regular(20, 4, seed=0))
+        adv = Adversary(gen_random_regular(100, 6, seed=0), AdversaryConfig(ratio=0.5),
+                        seed=0)
+        with pytest.raises(ParameterError):
+            Simulation(small, adversary=adv, num_messages=5)
 
     def test_all_nodes_adversarial_rejected(self):
         graph = path_graph()
@@ -247,7 +258,7 @@ class TestSimulation:
     def test_zero_messages_rejected(self):
         graph = path_graph()
         with pytest.raises(ParameterError):
-            Simulation(graph, broadcast_all(graph), num_messages=0)
+            Simulation(broadcast_all(graph), num_messages=0)
 
 
 class TestShortestPathOracle:

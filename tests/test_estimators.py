@@ -1,12 +1,10 @@
 """Tests for originator estimators: point-mass picks, the anonymity-graph
 refinement and its worked numeric cases."""
 
-import math
-
 import pytest
 
 from gossipsim.adversary import Observation
-from gossipsim.engine import PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_STEM
+from gossipsim.engine import PHASE_BROADCAST, PHASE_CIRCUIT
 from gossipsim.errors import ParameterError
 from gossipsim.estimators import (CandidateDistribution, NoObservation,
                                   estimate_first_reach, estimate_first_sent,
@@ -92,6 +90,13 @@ class TestFirstSent:
         reach = estimate_first_reach(observations)
         sent = estimate_first_sent(observations, graph)
         assert reach.top() == sent.top() == 2
+
+    def test_sender_must_be_observer_neighbor(self):
+        path = NetworkGraph(4, [(0, 1), (1, 2), (2, 3)], latencies=[5.0, 7.0, 9.0])
+        with pytest.raises(ParameterError):
+            estimate_first_sent([obs(0, 20.0, observer=2)], path)  # not edge (2, 1)
+        with pytest.raises(ParameterError):
+            estimate_first_sent([obs(3, 20.0, observer=1)], path)  # past the row's end
 
     def test_no_usable_observation(self):
         with pytest.raises(NoObservation):

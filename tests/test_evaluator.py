@@ -132,28 +132,35 @@ class TestEndToEnd:
         adv = Adversary(graph, AdversaryConfig(ratio=0.1,
                                                protocol_aware=protocol_aware),
                         seed=1)
-        run = Simulation(graph, proto, adversary=adv, num_messages=40,
+        run = Simulation(proto, adversary=adv, num_messages=40,
                          seed=2).run()
-        return run, adv, graph, proto
+        return run
 
     def test_evaluate_full_pipeline(self):
-        run, adv, graph, proto = self.setup_run(protocol_aware=False)
-        rep = evaluate(run, adv, graph, proto, "first_sent")
+        run = self.setup_run(protocol_aware=False)
+        rep = evaluate(run, "first_sent")
         assert rep.num_messages == 40
         assert 0.0 <= rep.hit_ratio <= rep.ndcg <= 1.0
         assert 0.0 <= rep.inverse_rank <= 1.0
         assert rep.message_spread_ratio > 0.9
 
     def test_protocol_aware_spreads_mass(self):
-        run, adv, graph, proto = self.setup_run(protocol_aware=True)
-        dists = build_distributions(run, adv, graph, proto, "first_sent")
+        run = self.setup_run(protocol_aware=True)
+        dists = build_distributions(run, "first_sent")
         observed = [d for d in dists if d is not None]
         assert observed
         assert any(len(d.probs) > 1 for d in observed)
-        aware = evaluate(run, adv, graph, proto, "first_sent")
+        aware = evaluate(run, "first_sent")
         assert aware.entropy > 0.0
 
-    def test_unknown_estimator_rejected(self):
-        run, adv, graph, proto = self.setup_run(protocol_aware=False)
+    def test_run_without_adversary_rejected(self):
+        graph = gen_random_regular(20, 4, seed=0)
+        proto = make_protocol(graph, ProtocolConfig(kind="broadcast"))
+        run = Simulation(proto, num_messages=5).run()
         with pytest.raises(ParameterError):
-            evaluate(run, adv, graph, proto, "centroid")
+            evaluate(run, "first_reach")
+
+    def test_unknown_estimator_rejected(self):
+        run = self.setup_run(protocol_aware=False)
+        with pytest.raises(ParameterError):
+            evaluate(run, "centroid")

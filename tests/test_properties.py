@@ -124,7 +124,7 @@ def test_flood_to_all_is_dijkstra(adversary_kind, graph, seed, ratio, pick):
     adv = adversary_for(graph, adversary_kind, ratio, seed)
     honest = honest_nodes(graph, adv)
     originator = honest[pick % len(honest)]
-    msg = run_message(spawn_message(originator, proto), proto, adv)
+    msg = run_message(spawn_message(originator, proto, rng=random.Random(0)), proto, adv)
 
     # active adversarial nodes receive but never forward: drop their out-edges
     sinks = adv.nodes if adversary_kind == "active" else frozenset()
@@ -153,10 +153,11 @@ def test_same_seed_same_run(kind, graph, seed, mode, adversary_kind, ratio):
 
     def run_once(protocol, sim_seed):
         adversary = adversary_for(graph, adversary_kind, ratio, seed)
-        run = Simulation(graph, protocol, adversary, num_messages=3, seed=sim_seed,
+        run = Simulation(protocol, adversary, num_messages=3, seed=sim_seed,
                          keep_messages=True).run()
         receipts = [msg.first_receipt for msg in run.messages]
-        logs = [adversary.observations(mid) for mid in run.message_ids] if adversary else []
+        logs = ([adversary.observations(mid) for mid in range(len(run.originators))]
+                if adversary else [])
         run.messages = []
         return run, receipts, logs
 

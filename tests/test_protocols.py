@@ -49,7 +49,7 @@ class TestFanout:
     def test_spawn_all_includes_everyone(self):
         graph = star(3)
         proto = make_protocol(graph, ProtocolConfig(kind="broadcast"))
-        msg = spawn_message(0, proto)
+        msg = spawn_message(0, proto, rng=random.Random(0))
         assert sorted(e[3] for e in msg.queue) == [1, 2, 3]
 
     def test_sqrt_count_and_sender_exclusion(self):
