@@ -76,8 +76,11 @@ def check_adversary_nodes(nodes, n):
         raise ParameterError("adversary cannot hold every node")
 
 
-def place_adversaries(graph, config, seed=0):
-    """Pick the adversarial node set; returns a sorted tuple of node ids."""
+def place_adversaries(graph, config, seed=0, scores=None):
+    """Pick the adversarial node set; returns a sorted tuple of node ids.
+
+    scores is get_central_nodes' per-graph cache of centrality scores.
+    """
     if config.nodes is not None:
         nodes = sorted(set(int(u) for u in config.nodes))
         check_adversary_nodes(nodes, graph.n)
@@ -87,16 +90,21 @@ def place_adversaries(graph, config, seed=0):
         rng = np.random.default_rng(derive_seed(seed, 8))
         picked = rng.permutation(graph.n)[:count]
         return tuple(sorted(int(u) for u in picked))
-    return tuple(sorted(get_central_nodes(graph, count, metric=config.placement)))
+    return tuple(sorted(get_central_nodes(graph, count, metric=config.placement,
+                                          scores=scores)))
 
 
 class Adversary:
-    """Holds the adversarial nodes and the per-message observation logs."""
+    """Holds the adversarial nodes and the per-message observation logs.
 
-    def __init__(self, graph, config, seed=0):
+    scores, if given, is the graph's centrality-score cache (see
+    get_central_nodes), shared by the adversaries placed on one graph.
+    """
+
+    def __init__(self, graph, config, seed=0, scores=None):
         self.active = config.active
         self.protocol_aware = config.protocol_aware
-        self.nodes = frozenset(place_adversaries(graph, config, seed))
+        self.nodes = frozenset(place_adversaries(graph, config, seed, scores))
         self._logs = {}
 
     def observe(self, message_id, observer, sender, arrival, phase):

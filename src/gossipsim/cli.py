@@ -3,7 +3,8 @@
 import argparse
 import sys
 
-from .errors import ConfigError, FormatError, ParameterError, SchemaError
+from .errors import (ConfigError, FormatError, GenerationError, ParameterError,
+                     SchemaError)
 from .experiment import FIGURE_PRESETS, emit_plot_data, load_config, run_experiment
 
 EXIT_OK = 0
@@ -75,7 +76,8 @@ def main(argv=None):
                 "validate": _cmd_validate}
     try:
         return handlers[args.command](args)
-    except (ConfigError, FormatError, SchemaError, ParameterError) as exc:
+    except (ConfigError, FormatError, SchemaError, ParameterError,
+            GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

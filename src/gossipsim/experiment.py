@@ -339,18 +339,20 @@ _GRAPH_CACHE = {}
 
 
 def _graph_for(cfg, topology, seed):
-    """Weighted graph for one (config, topology, seed).
+    """Weighted graph for one (config, topology, seed), and its score cache.
 
     Each process caches the graphs of the seed it is running and drops them
     when the next seed starts; tasks run seed-major, so none is rebuilt.
-    run_experiment empties the cache when a sweep starts and ends, so a
-    graph file rewritten between sweeps is read again.
+    With each graph it keeps the dict that get_central_nodes fills with the
+    graph's centrality scores, so betweenness is computed once per graph, not
+    once per cell. run_experiment empties the cache when a sweep starts and
+    ends, so a graph file rewritten between sweeps is read again.
     """
     spec = cfg.weight_spec()
     key = (topology, cfg.n, cfg.k, cfg.m, cfg.graph_path, cfg.node_weight_file,
            spec, seed)
-    graph = _GRAPH_CACHE.get(key)
-    if graph is None:
+    entry = _GRAPH_CACHE.get(key)
+    if entry is None:
         for old in [k for k in _GRAPH_CACHE if k[-1] != seed]:
             del _GRAPH_CACHE[old]
         if topology == "regular":
@@ -362,8 +364,8 @@ def _graph_for(cfg, topology, seed):
         graph = assign_weights(graph, spec, seed)
         if cfg.node_weight_file:
             graph = load_node_weights(graph, cfg.node_weight_file)
-        _GRAPH_CACHE[key] = graph
-    return graph
+        entry = _GRAPH_CACHE[key] = (graph, {})
+    return entry
 
 
 def _k_or_m(cfg, topology):
@@ -376,7 +378,7 @@ def _k_or_m(cfg, topology):
 
 def run_cell(cfg, cell, seed):
     """Simulate one cell at one seed; returns one row dict per estimator."""
-    graph = _graph_for(cfg, cell.topology, seed)
+    graph, scores = _graph_for(cfg, cell.topology, seed)
     adv_cfg = AdversaryConfig(
         ratio=cell.adversary_ratio,
         nodes=cfg.adversary_nodes,
@@ -384,7 +386,7 @@ def run_cell(cfg, cell, seed):
         else "random",
         active=cell.adversary_active,
         protocol_aware=cfg.protocol_aware)
-    adversary = Adversary(graph, adv_cfg, seed)
+    adversary = Adversary(graph, adv_cfg, seed, scores=scores)
     if cfg.estimators and not adversary.nodes:
         raise ConfigError(
             f"adversary.ratio: floor({cell.adversary_ratio} * {graph.n}) is an empty "

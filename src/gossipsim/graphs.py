@@ -8,10 +8,11 @@ assignment returns a new graph sharing the topology.
 
 import logging
 import math
+import random
 from bisect import bisect_left
+from collections import defaultdict
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from .engine import derive_seed
@@ -24,6 +25,10 @@ log = logging.getLogger(__name__)
 LATENCY_FLOOR_MS = 1.0
 
 _GENERATION_RETRIES = 100
+
+# Failed pairings allowed per regular-graph attempt. Sparse shapes need 1-7;
+# near-complete ones (n=50, k=47) almost never pair and would loop for ever.
+_PAIRING_TRIES = 1000
 
 # Log-normal stakes are exp(stake_mu + stake_sigma * z), z standard normal.
 # Under this bound on |stake_mu| + 10 stake_sigma (|z| > 10 has probability
@@ -119,6 +124,21 @@ class NetworkGraph:
         if check_connected and not self.is_connected():
             raise ParameterError("graph is not connected")
 
+    @classmethod
+    def _from_rows(cls, n, adj, node_weights, labels):
+        """Graph on rows that are already sorted, symmetric and checked.
+
+        Nothing is copied or validated again: callers pass rows, weights and
+        labels that satisfy what __init__ would check.
+        """
+        graph = cls.__new__(cls)
+        graph.n = n
+        graph.adj = adj
+        graph.node_weights = node_weights
+        graph.labels = labels
+        graph._csr = None
+        return graph
+
     @property
     def edges(self):
         return [(u, v) for u, row in enumerate(self.adj) for v, _ in row if u < v]
@@ -166,6 +186,7 @@ class NetworkGraph:
         return comp
 
     def to_networkx(self):
+        import networkx as nx  # imported on first use: it is not on the set-up path
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
         for (u, v), l in zip(self.edges, self.latencies):
@@ -213,17 +234,144 @@ def check_stake(mu, sigma):
             f"|{mu:g}| + {STAKE_TAIL_SIGMAS:g} * {sigma:g}")
 
 
+# The two generators below are ports of networkx 3.6.1's random_regular_graph
+# and barabasi_albert_graph, kept draw for draw so that a seed gives the graph
+# networkx gives. networkx is distributed under the 3-clause BSD license,
+# Copyright (C) 2004-2025, NetworkX Developers (Aric Hagberg, Dan Schult,
+# Pieter Swart and contributors). Redistributions must retain this notice.
+
+
+def _shuffle(rng, x):
+    """rng.shuffle(x), with the getrandbits draws of CPython's Random.shuffle."""
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, len(x))):
+        n = i + 1  # Random._randbelow_with_getrandbits(n), inlined
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
+def _choice(rng, seq):
+    """rng.choice(seq), with the getrandbits draws of CPython's Random.choice."""
+    n = len(seq)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return seq[r]
+
+
+def _regular_edges(n, k, rng):
+    """Edge set of networkx.random_regular_graph(k, n, seed=rng).
+
+    The Steger-Wormald pairing ("Generating random regular graphs quickly",
+    1999): pair shuffled stubs, keep the pairs that make new simple edges and
+    re-pair the stubs of the rest. Raises GenerationError after _PAIRING_TRIES
+    pairings that get stuck.
+    """
+
+    def _suitable(edges, potential_edges):
+        # Helper subroutine to check if there are suitable edges remaining
+        # If False, the generation of the graph has failed
+        if not potential_edges:
+            return True
+        for s1 in potential_edges:
+            for s2 in potential_edges:
+                # Two iterators on the same dictionary are guaranteed
+                # to visit it in the same order if there are no
+                # intervening modifications.
+                if s1 == s2:
+                    # Only need to consider s1-s2 pair one time
+                    break
+                # reassigns s1 for the rest of the inner loop, as networkx
+                # does; a tidier check gives other graphs (n=10, k=4, seed 14)
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if (s1, s2) not in edges:
+                    return True
+        return False
+
+    def _try_creation():
+        # Attempt to create an edge set
+
+        edges = set()
+        stubs = list(range(n)) * k
+
+        while stubs:
+            potential_edges = defaultdict(lambda: 0)
+            _shuffle(rng, stubs)
+            stubiter = iter(stubs)
+            for s1, s2 in zip(stubiter, stubiter):
+                if s1 > s2:
+                    s1, s2 = s2, s1
+                if s1 != s2 and ((s1, s2) not in edges):
+                    edges.add((s1, s2))
+                else:
+                    potential_edges[s1] += 1
+                    potential_edges[s2] += 1
+
+            if not _suitable(edges, potential_edges):
+                return None  # failed to find suitable edge set
+
+            stubs = [
+                node
+                for node, potential in potential_edges.items()
+                for _ in range(potential)
+            ]
+        return edges
+
+    for _ in range(_PAIRING_TRIES):
+        edges = _try_creation()
+        if edges is not None:
+            return edges
+    raise GenerationError(
+        f"random regular graph with n={n}, k={k}: no pairing in {_PAIRING_TRIES} "
+        f"tries; a k this close to n rarely pairs")
+
+
+def _scale_free_edges(n, m, rng):
+    """Edge list of networkx.barabasi_albert_graph(n, m, seed=rng)."""
+    # Default initial graph : star graph on (m + 1) nodes, centre 0
+    edges = [(0, v) for v in range(1, m + 1)]
+    # List of existing nodes, with nodes repeated once for each adjacent edge
+    repeated_nodes = [0] * m + list(range(1, m + 1))
+    for source in range(m + 1, n):
+        # m distinct targets drawn from repeated_nodes (preferential
+        # attachment); the set's iteration order feeds the next draws
+        targets = set()
+        while len(targets) < m:
+            targets.add(_choice(rng, repeated_nodes))
+        edges.extend((source, t) for t in targets)
+        repeated_nodes.extend(targets)
+        repeated_nodes.extend([source] * m)
+    return edges
+
+
+def _unit_graph(n, edges):
+    """Graph with unit latencies and weights on a simple edge list."""
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    rows = [[(v, 1.0) for v in sorted(row)] for row in nbrs]
+    return NetworkGraph._from_rows(n, rows, np.ones(n), [str(i) for i in range(n)])
+
+
 def gen_random_regular(n, k, seed):
     """Connected random k-regular graph on n nodes.
 
-    Requires 3 <= k < n and n*k even. Regeneration is retried with perturbed
-    seeds a bounded number of times if a disconnected sample comes up.
+    Requires 3 <= k < n and n*k even. Draws the graph networkx 3.6.1's
+    random_regular_graph(k, n, seed) draws (Steger-Wormald pairing), with
+    networkx neither imported nor needed. A disconnected sample is redrawn
+    with a perturbed seed a bounded number of times. Raises GenerationError
+    when a shape is too dense to pair (n=50, k=47) or stays disconnected.
     """
     check_regular(n, k)
     base = derive_seed(seed, 101)
     for attempt in range(_GENERATION_RETRIES):
-        g = nx.random_regular_graph(k, n, seed=base + attempt)
-        graph = NetworkGraph(n, list(g.edges()), check_connected=False)
+        graph = _unit_graph(n, _regular_edges(n, k, random.Random(base + attempt)))
         if graph.is_connected():
             if attempt:
                 log.info("regular graph connected after %d retries", attempt)
@@ -233,10 +381,15 @@ def gen_random_regular(n, k, seed):
 
 
 def gen_scale_free(n, m, seed):
-    """Scale-free graph via preferential attachment (m edges per new node)."""
+    """Scale-free graph via preferential attachment (m edges per new node).
+
+    Draws the graph networkx 3.6.1's barabasi_albert_graph(n, m, seed) draws
+    (a star on m + 1 nodes, then each new node attaches to m distinct nodes
+    picked in proportion to degree), with networkx neither imported nor
+    needed.
+    """
     check_scale_free(n, m)
-    g = nx.barabasi_albert_graph(n, m, seed=derive_seed(seed, 102))
-    graph = NetworkGraph(n, list(g.edges()), check_connected=False)
+    graph = _unit_graph(n, _scale_free_edges(n, m, random.Random(derive_seed(seed, 102))))
     if not graph.is_connected():  # attachment graphs are connected by construction
         raise GenerationError("preferential attachment produced a disconnected graph")
     return graph
@@ -333,8 +486,7 @@ def assign_weights(graph, spec, seed):
     so changing one mode never shifts the other's draws. Latencies below the
     floor are clamped, not redrawn.
     """
-    edges = graph.edges
-    m = len(edges)
+    m = sum(len(row) for row in graph.adj) // 2
     edge_rng = np.random.default_rng(derive_seed(seed, 103))
     node_rng = np.random.default_rng(derive_seed(seed, 104))
 
@@ -345,6 +497,8 @@ def assign_weights(graph, spec, seed):
     else:
         lats = np.ones(m)
     lats = np.maximum(lats, LATENCY_FLOOR_MS)
+    if not np.all(lats < math.inf):  # a finite but huge spread can overflow
+        raise ParameterError("drawn latencies must be finite; lower the spread")
 
     if spec.node_mode == "stake":
         check_stake(spec.stake_mu, spec.stake_sigma)
@@ -352,9 +506,26 @@ def assign_weights(graph, spec, seed):
     else:
         weights = np.ones(graph.n)
 
-    return NetworkGraph(graph.n, edges, latencies=lats.tolist(),
-                        node_weights=weights, labels=graph.labels,
-                        check_connected=False)
+    # Rows are built one after another so that each row's tuples sit together
+    # in memory: rows filled edge by edge made sqrt fanout ~15% slower. Row u
+    # takes a new latency, in canonical edge order, for each higher neighbour,
+    # and reads the one of each lower neighbour v from the built row v, whose
+    # entries to higher nodes rows after v consume in order (upper[v]).
+    lat_iter = iter(lats.tolist())
+    rows = []
+    upper = []
+    for u, row in enumerate(graph.adj):
+        new = []
+        for v, _ in row:
+            if v < u:
+                l = rows[v][upper[v]][1]
+                upper[v] += 1
+            else:
+                l = next(lat_iter)
+            new.append((v, l))
+        rows.append(new)
+        upper.append(bisect_left(row, (u,)))
+    return NetworkGraph._from_rows(graph.n, rows, weights, graph.labels)
 
 
 def load_node_weights(graph, path):
@@ -387,21 +558,31 @@ def load_node_weights(graph, path):
                 raise FormatError(f"weight {w} must be finite and non-negative",
                                   path=path, line=lineno)
             weights[index[toks[0]]] = w
-    return NetworkGraph(graph.n, graph.edges, latencies=graph.latencies,
-                        node_weights=weights, labels=graph.labels,
-                        check_connected=False)
+    return NetworkGraph._from_rows(graph.n, graph.adj, weights, graph.labels)
 
 
-def get_central_nodes(graph, count, metric="degree"):
-    """Top-count nodes by a centrality metric; ties broken by ascending id."""
+def centrality_scores(graph, metric):
+    """Per-node scores of a centrality metric: 'degree' or 'betweenness'."""
+    if metric == "degree":
+        return [len(row) for row in graph.adj]
+    if metric == "betweenness":
+        import networkx as nx  # imported on first use: it is not on the set-up path
+        scores = nx.betweenness_centrality(graph.to_networkx())
+        return [scores[u] for u in range(graph.n)]
+    raise ParameterError(f"unknown centrality metric {metric!r}")
+
+
+def get_central_nodes(graph, count, metric="degree", scores=None):
+    """Top-count nodes by a centrality metric; ties broken by ascending id.
+
+    scores, a dict kept with the graph, maps each metric computed so far to
+    its per-node scores; a metric missing from it is computed and added, so
+    later calls on the same graph reuse it.
+    """
     if not (0 <= count <= graph.n):
         raise ParameterError(f"count must be in [0, {graph.n}], got {count}")
-    if metric == "degree":
-        scores = [len(graph.adj[u]) for u in range(graph.n)]
-    elif metric == "betweenness":
-        scores_map = nx.betweenness_centrality(graph.to_networkx())
-        scores = [scores_map[u] for u in range(graph.n)]
-    else:
-        raise ParameterError(f"unknown centrality metric {metric!r}")
-    order = sorted(range(graph.n), key=lambda u: (-scores[u], u))
+    scores = {} if scores is None else scores
+    if metric not in scores:
+        scores[metric] = centrality_scores(graph, metric)
+    order = sorted(range(graph.n), key=lambda u: (-scores[metric][u], u))
     return order[:count]

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from gossipsim import experiment
+from gossipsim import experiment, graphs
+from gossipsim.adversary import place_adversaries
 from gossipsim.cli import main
 from gossipsim.errors import ConfigError, SchemaError
 from gossipsim.experiment import (AGGREGATE_COLUMNS, FIGURE_PRESETS,
@@ -272,6 +273,36 @@ class TestRunExperiment:
         seeds = [key[-1] for key in experiment._GRAPH_CACHE]
         assert seeds == [1, 1]
 
+    def test_betweenness_scored_once_per_graph(self, monkeypatch):
+        monkeypatch.setattr(experiment, "_GRAPH_CACHE", {})
+        calls = []
+        score = graphs.centrality_scores
+
+        def counting(graph, metric):
+            calls.append(metric)
+            return score(graph, metric)
+
+        placed = []
+        adversary = experiment.Adversary
+
+        def recording(graph, config, seed, **kwargs):
+            placed.append((graph, config, seed, adversary(graph, config, seed, **kwargs)))
+            return placed[-1][-1]
+
+        monkeypatch.setattr(graphs, "centrality_scores", counting)
+        monkeypatch.setattr(experiment, "Adversary", recording)
+        cfg = parse_config(SMOKE_CONFIG.replace("adversary.ratio = 0.1, 0.2",
+                                                "adversary.ratio = 0.1, 0.2\n"
+                                                "adversary.placement = betweenness"))
+        for seed in cfg.seeds:
+            for cell in cfg.cells():
+                experiment.run_cell(cfg, cell, seed)
+        assert len(placed) == 6 * len(cfg.seeds)
+        assert calls == ["betweenness"] * len(cfg.seeds)
+        # the cached scores place the nodes that a fresh computation places
+        for graph, config, seed, adv in placed:
+            assert adv.nodes == frozenset(place_adversaries(graph, config, seed))
+
     def test_rewritten_graph_file_is_reread(self, tmp_path):
         graph_file = tmp_path / "net.txt"
         cfg = parse_config("topology.kind = file\n"
@@ -409,6 +440,16 @@ class TestCli:
         assert main(["validate", "--config", str(bad)]) == 2
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "seeds: seed must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    def test_dense_regular_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "dense.cfg"
+        bad.write_text(SMOKE_CONFIG.replace("topology.n = 60", "topology.n = 50")
+                       .replace("topology.k = 6", "topology.k = 47"))
+        assert main(["validate", "--config", str(bad)]) == 0
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n=50, k=47" in err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_missing_file_exits_3(self, tmp_path):

@@ -2,6 +2,7 @@
 
 import math
 import os
+import random
 import subprocess
 import sys
 
@@ -12,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import coo_matrix
 
-from gossipsim.errors import FormatError, ParameterError
+from gossipsim.errors import FormatError, GenerationError, ParameterError
 from gossipsim.graphs import (LATENCY_FLOOR_MS, STAKE_LOG_BOUND, NetworkGraph,
-                              WeightGeneratorSpec, _largest_component,
+                              WeightGeneratorSpec, _choice, _largest_component,
+                              _regular_edges, _scale_free_edges, _shuffle,
                               assign_weights, gen_random_regular,
                               gen_scale_free, get_central_nodes, load_graph,
                               load_node_weights, save_graph)
@@ -61,10 +63,17 @@ class TestNetworkGraph:
         assert g.neighbors(1) == [0, 2]
         assert g.degree(1) == 2
 
-    def test_adj_is_the_only_edge_store(self):
+    def test_adj_is_the_only_edge_store(self, tmp_path):
         g = triangle()
         assert set(vars(g)) == {"n", "adj", "node_weights", "labels", "_csr"}
         assert g.adj[1] == [(0, 1.0), (2, 1.0)]
+        path = tmp_path / "weights.txt"
+        path.write_text("1 2.5\n")
+        spec = WeightGeneratorSpec()
+        for built in (gen_random_regular(12, 4, seed=0), gen_scale_free(12, 2, seed=0),
+                      assign_weights(g, spec, seed=0),
+                      load_node_weights(assign_weights(g, spec, seed=0), path)):
+            assert set(vars(built)) == set(vars(g))
 
     def test_latency_of_non_edge(self):
         g = NetworkGraph(3, [(0, 1), (1, 2)])
@@ -137,7 +146,8 @@ class TestComponents:
                 "spec = g.WeightGeneratorSpec()\n"
                 "g.assign_weights(g.gen_random_regular(50, 4, 0), spec, 0)\n"
                 "g.assign_weights(g.gen_scale_free(50, 3, 0), spec, 0)\n"
-                "assert 'scipy.sparse' not in sys.modules\n")
+                "assert 'scipy.sparse' not in sys.modules\n"
+                "assert 'networkx' not in sys.modules\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -203,6 +213,68 @@ class TestGenerators:
     def test_scale_free_invalid_m(self):
         with pytest.raises(ParameterError):
             gen_scale_free(20, 20, seed=0)
+
+    def test_dense_regular_gives_up(self):
+        # near-complete shapes almost never pair; the bounded retry reports them
+        with pytest.raises(GenerationError, match=r"n=50, k=47"):
+            gen_random_regular(50, 47, seed=0)
+
+
+def regular_shapes():
+    """(n, k) with 3 <= k <= n / 2 and n * k even: shapes networkx pairs quickly."""
+    return st.integers(6, 24).flatmap(lambda n: st.tuples(
+        st.just(n), st.integers(3, n // 2).filter(lambda k: n * k % 2 == 0)))
+
+
+class TestNetworkxOracle:
+    """The in-package generators draw exactly what the installed networkx draws.
+
+    A Python or networkx release that changes those draws fails here.
+    """
+
+    @settings(max_examples=60)
+    @given(regular_shapes(), st.integers(0, 2 ** 32 - 1))
+    def test_regular_edges(self, shape, seed):
+        n, k = shape
+        ours, theirs = random.Random(seed), random.Random(seed)
+        edges = _regular_edges(n, k, ours)
+        ref = nx.random_regular_graph(k, n, seed=theirs)
+        assert edges == {(min(e), max(e)) for e in ref.edges()}
+        assert ours.getstate() == theirs.getstate()
+
+    @settings(max_examples=60)
+    @given(st.integers(2, 40).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+           st.integers(0, 2 ** 32 - 1))
+    def test_scale_free_edges(self, shape, seed):
+        n, m = shape
+        ours, theirs = random.Random(seed), random.Random(seed)
+        edges = _scale_free_edges(n, m, ours)
+        ref = nx.barabasi_albert_graph(n, m, seed=theirs)
+        assert sorted((min(e), max(e)) for e in edges) == sorted(
+            (min(e), max(e)) for e in ref.edges())
+        assert ours.getstate() == theirs.getstate()
+
+    @given(st.lists(st.integers(), max_size=70), st.integers(0, 2 ** 32 - 1))
+    def test_shuffle_and_choice_draws(self, items, seed):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        mine, ref = list(items), list(items)
+        _shuffle(ours, mine)
+        theirs.shuffle(ref)
+        assert mine == ref
+        assert ours.getstate() == theirs.getstate()
+        if items:
+            assert [_choice(ours, items) for _ in range(5)] == [
+                theirs.choice(items) for _ in range(5)]
+            assert ours.getstate() == theirs.getstate()
+
+    @given(st.sampled_from([(10, 4), (11, 4), (60, 6)]), st.integers(0, 50))
+    def test_weighted_rows_match_validating_constructor(self, shape, seed):
+        n, k = shape
+        plain = gen_random_regular(n, k, seed)
+        graph = assign_weights(plain, WeightGeneratorSpec(), seed)
+        assert graph.edges == plain.edges
+        ref = NetworkGraph(n, graph.edges, latencies=graph.latencies)
+        assert graph.adj == ref.adj
 
 
 class TestLoadSave:
@@ -321,6 +393,12 @@ class TestWeights:
         # uniform node weights never draw stakes
         uniform = WeightGeneratorSpec(node_mode="uniform", stake_mu=mu, stake_sigma=sigma)
         assert assign_weights(triangle(), uniform, seed=0).node_weights.tolist() == [1.0] * 3
+
+    def test_overflowing_latency_draw_rejected(self):
+        # finite parameters whose normal draws overflow to inf on this graph
+        spec = WeightGeneratorSpec(normal_std_ms=1e308)
+        with np.errstate(over="ignore"), pytest.raises(ParameterError, match="finite"):
+            assign_weights(gen_random_regular(100, 10, seed=0), spec, seed=0)
 
     def test_uniform_node_weights(self):
         g = assign_weights(triangle(), WeightGeneratorSpec(node_mode="uniform"),
