@@ -97,11 +97,14 @@ def place_adversaries(graph, config, seed=0, scores=None):
 class Adversary:
     """Holds the adversarial nodes and the per-message observation logs.
 
-    scores, if given, is the graph's centrality-score cache (see
-    get_central_nodes), shared by the adversaries placed on one graph.
+    graph is the network the nodes were placed on; a simulation accepts the
+    adversary only on that same graph object. scores, if given, is the
+    graph's centrality-score cache (see get_central_nodes), shared by the
+    adversaries placed on one graph.
     """
 
     def __init__(self, graph, config, seed=0, scores=None):
+        self.graph = graph
         self.active = config.active
         self.protocol_aware = config.protocol_aware
         self.nodes = frozenset(place_adversaries(graph, config, seed, scores))

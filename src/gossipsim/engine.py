@@ -54,9 +54,11 @@ class SimMessage:
     delivery time (the originator is in it from spawn). queue is the pending
     event heap; each entry is
     (deliver_at, seq, from_node, to_node, phase, hop) where hop counts stem
-    edges (or the circuit position for onion routing). fluff_arrival maps
-    node -> earliest broadcast delivery queued for it, or -inf once the node
-    has fanned the message out. watched is the adversarial node set, whose
+    edges (or the circuit position for onion routing) and seq is the number
+    of earlier pushes, counted in the seq slot: code that pushes onto queue
+    without push must advance it the same way. fluff_arrival maps node ->
+    earliest broadcast delivery queued for it, or -inf once the node has
+    fanned the message out. watched is the adversarial node set, whose
     broadcast deliveries are queued even when they cannot improve an arrival;
     run_message sets it before draining the queue. events lists the popped
     events when run_message is asked to keep them.
@@ -64,7 +66,7 @@ class SimMessage:
 
     __slots__ = ("mid", "originator", "rng", "first_receipt", "queue",
                  "fluff_arrival", "watched", "circuit", "spread_ratio", "events",
-                 "_seq")
+                 "seq")
 
     def __init__(self, mid, originator, rng):
         self.mid = mid
@@ -77,11 +79,11 @@ class SimMessage:
         self.circuit = None
         self.spread_ratio = 0.0
         self.events = None
-        self._seq = 0
+        self.seq = 0
 
     def push(self, deliver_at, from_node, to_node, phase, hop=0):
-        heapq.heappush(self.queue, (deliver_at, self._seq, from_node, to_node, phase, hop))
-        self._seq += 1
+        heapq.heappush(self.queue, (deliver_at, self.seq, from_node, to_node, phase, hop))
+        self.seq += 1
 
     def __repr__(self):
         return (f"SimMessage(mid={self.mid}, originator={self.originator}, "
@@ -163,12 +165,12 @@ class SimulationRun:
 class Simulation:
     """Drives num_messages seeded messages through one protocol instance.
 
-    The network is protocol.graph. The adversary, if any, must hold node ids
-    of that graph. Originators are honest by construction: adversarial nodes
-    are removed from the sampling distribution (equivalent to re-drawing until
-    an honest node comes up, with a deterministic draw count). Each message
-    gets its own RNG stream derived from (seed, message id), so message order
-    never leaks randomness across messages.
+    The network is protocol.graph. The adversary, if any, must have been
+    placed on that same graph object. Originators are honest by construction:
+    adversarial nodes are removed from the sampling distribution (equivalent
+    to re-drawing until an honest node comes up, with a deterministic draw
+    count). Each message gets its own RNG stream derived from (seed, message
+    id), so message order never leaks randomness across messages.
     """
 
     def __init__(self, protocol, adversary=None, num_messages=1, seed=0,
@@ -186,6 +188,9 @@ class Simulation:
         if adv_nodes and max(adv_nodes) >= graph.n:
             raise ParameterError(f"adversarial node {max(adv_nodes)} out of range for "
                                  f"the protocol's graph (n={graph.n})")
+        if adversary is not None and adversary.graph is not graph:
+            raise ParameterError("the adversary was placed on another graph than "
+                                 "the protocol's")
         honest = [u for u in range(graph.n) if u not in adv_nodes]
         if not honest:
             raise ParameterError("no honest nodes left to originate messages")

@@ -4,12 +4,16 @@ two pinned relays per node, and overlay circuit routing with a broadcast exit.
 All protocols share the broadcast (fluff) machinery: a node forwards a message
 in broadcast phase at most once, either to all neighbors except the sender
 (mode 'all') or to ceil(sqrt(d)) neighbors sampled without replacement (mode
-'sqrt', excluding the sender whenever the degree allows it).
+'sqrt', excluding the sender whenever the degree allows it). The sqrt sample
+is exactly random.Random.sample on the sender-free neighbor list, drawn inline
+from the message's rng.
 """
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
+from heapq import heappush
 
 import numpy as np
 
@@ -126,6 +130,15 @@ def build_anonymity_graph(graph, kind, seed):
     return AnonymityGraph(successors, epoch_seed=derive_seed(seed, 5), kind=kind)
 
 
+def _sample_setsize(k):
+    """Random.sample's switch point: a population of n <= this for k draws takes
+    the pool branch, a larger one the set branch (CPython 3.10-3.13)."""
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    return setsize
+
+
 class _BroadcastBase:
     """Shared fluff fanout. Subclasses set the spawn and receive logic."""
 
@@ -133,22 +146,25 @@ class _BroadcastBase:
         self.graph = graph
         self.mode_all = config.broadcast_mode == "all"
         # ceil(sqrt(d)) per node, precomputed off the hot path
-        self._fan = [0] * graph.n
-        for u in range(graph.n):
-            d = len(graph.adj[u])
-            c = math.isqrt(d)
-            if c * c < d:
-                c += 1
-            self._fan[u] = c
+        self._fan = [math.isqrt(len(row) - 1) + 1 if row else 0 for row in graph.adj]
+        # Random.sample's branch switch, indexed by fanout
+        self._setsize = [_sample_setsize(c) for c in range(max(self._fan, default=0) + 1)]
 
     def _broadcast(self, msg, t, node, sender):
         """Fan the message out of `node`; no-op if it already forwarded.
 
         sender < 0 marks a fresh source (spawn, stem or circuit exit): nothing
         is excluded there, which keeps floods complete even when the exit's
-        only neighbor is the node that fed it. A delivery to an honest node is
+        only neighbor is the node that fed it. Otherwise sender is the
+        neighbor that delivered the message. A delivery to an honest node is
         queued only if it is earlier than the node's fluff arrival so far (see
         the engine module); sqrt mode draws its sample either way.
+
+        The sqrt sample is msg.rng.sample(pool, c) on the sender-free neighbor
+        list, drawn inline: the same getrandbits calls as CPython's
+        Random.sample and _randbelow_with_getrandbits, in both of its branches,
+        so the rng ends in the same state and the targets come in the same
+        order. Sends go straight onto msg.queue with msg.seq, as msg.push does.
         """
         arrival = msg.fluff_arrival
         if arrival.get(node) == FORWARDED:
@@ -159,12 +175,40 @@ class _BroadcastBase:
             targets, excluded = adj, sender
         else:
             c = self._fan[node]
+            n = len(adj)
             pool = adj
-            if 0 <= sender and len(adj) > c:
-                pool = [p for p in adj if p[0] != sender]
-            targets, excluded = msg.rng.sample(pool, c), -1
+            if 0 <= sender and n > c:
+                i = bisect_left(adj, (sender,))
+                pool = adj[:i] + adj[i + 1:]
+                n -= 1
+            getrandbits = msg.rng.getrandbits
+            if n <= self._setsize[c]:
+                # pool branch: the pick among the first m moves to pool[m - 1]
+                if pool is adj:
+                    pool = adj[:]
+                for m in range(n, n - c, -1):
+                    k = m.bit_length()
+                    j = getrandbits(k)
+                    while j >= m:
+                        j = getrandbits(k)
+                    pool[j], pool[m - 1] = pool[m - 1], pool[j]
+                targets = pool[n - c:]
+                targets.reverse()
+            else:
+                # set branch: redraw indices out of range or already picked
+                k = n.bit_length()
+                picked = set()
+                targets = []
+                for _ in range(c):
+                    j = getrandbits(k)
+                    while j >= n or j in picked:
+                        j = getrandbits(k)
+                    picked.add(j)
+                    targets.append(pool[j])
+            excluded = -1
         watched = msg.watched
-        push = msg.push
+        queue = msg.queue
+        seq = msg.seq
         for w, lat in targets:
             if w == excluded:
                 continue
@@ -173,7 +217,9 @@ class _BroadcastBase:
                 arrival[w] = at
             elif w not in watched:
                 continue
-            push(at, node, w, PHASE_BROADCAST)
+            heappush(queue, (at, seq, node, w, PHASE_BROADCAST, 0))
+            seq += 1
+        msg.seq = seq
 
 
 class BroadcastProtocol(_BroadcastBase):

@@ -249,6 +249,14 @@ class TestSimulation:
         with pytest.raises(ParameterError):
             Simulation(small, adversary=adv, num_messages=5)
 
+    def test_adversary_placed_on_another_graph_rejected(self):
+        # same size, so every node id is in range, but a different network
+        proto = broadcast_all(gen_random_regular(100, 6, seed=1))
+        adv = Adversary(gen_random_regular(100, 6, seed=0),
+                        AdversaryConfig(ratio=0.1, placement="degree"))
+        with pytest.raises(ParameterError):
+            Simulation(proto, adversary=adv, num_messages=20)
+
     def test_all_nodes_adversarial_rejected(self):
         graph = path_graph()
         proto = broadcast_all(graph)

@@ -9,7 +9,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -36,6 +36,21 @@ def weighted_graphs(draw):
     else:
         n = draw(st.integers(6, 30))
         graph = gen_scale_free(n, draw(st.integers(1, 3)), seed)
+    edge_mode = draw(st.sampled_from(WeightGeneratorSpec.EDGE_MODES))
+    return assign_weights(graph, WeightGeneratorSpec(edge_mode=edge_mode), seed)
+
+
+@st.composite
+def set_branch_graphs(draw):
+    """Graphs whose sqrt samples take random.sample's set branch: 40-node 22- or
+    24-regular (fanout 5 from pools of 22 to 24 nodes) or 300-node scale-free
+    with a hub of degree above 86 (pools above 85 nodes)."""
+    seed = draw(st.integers(0, 2 ** 16))
+    if draw(st.booleans()):
+        graph = gen_random_regular(40, draw(st.sampled_from([22, 24])), seed)
+    else:
+        graph = gen_scale_free(300, 15, seed)
+        assume(max(len(row) for row in graph.adj) > 86)
     edge_mode = draw(st.sampled_from(WeightGeneratorSpec.EDGE_MODES))
     return assign_weights(graph, WeightGeneratorSpec(edge_mode=edge_mode), seed)
 
@@ -87,15 +102,9 @@ def reference_run(protocol, adversary, originator, mid, rng):
     return msg
 
 
-@pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])
-@pytest.mark.parametrize("mode", ["all", "sqrt"])
-@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
-@given(graph=weighted_graphs(), seed=st.integers(0, 2 ** 16),
-       ratio=st.sampled_from([0.1, 0.3]),
-       probability=st.sampled_from([0.1, 0.5, 1.0]),
-       stem_cap=st.integers(1, 6), pick=st.integers(0, 2 ** 16))
-def test_skipping_duplicates_changes_nothing(kind, mode, adversary_kind, graph, seed,
-                                             ratio, probability, stem_cap, pick):
+def check_against_reference(kind, mode, adversary_kind, graph, seed, ratio, probability,
+                            stem_cap, pick):
+    """Three messages through the engine and through reference_run agree."""
     cfg = ProtocolConfig(kind=kind, broadcast_mode=mode,
                          broadcast_probability=probability, stem_cap=stem_cap)
     proto = make_protocol(graph, cfg, seed=seed)
@@ -114,6 +123,32 @@ def test_skipping_duplicates_changes_nothing(kind, mode, adversary_kind, graph, 
         assert msg.rng.getstate() == ref.rng.getstate()
         if adv is not None:
             assert adv.observations(mid) == ref_adv.observations(mid)
+
+
+@pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])
+@pytest.mark.parametrize("mode", ["all", "sqrt"])
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@given(graph=weighted_graphs(), seed=st.integers(0, 2 ** 16),
+       ratio=st.sampled_from([0.1, 0.3]),
+       probability=st.sampled_from([0.1, 0.5, 1.0]),
+       stem_cap=st.integers(1, 6), pick=st.integers(0, 2 ** 16))
+def test_skipping_duplicates_changes_nothing(kind, mode, adversary_kind, graph, seed,
+                                             ratio, probability, stem_cap, pick):
+    check_against_reference(kind, mode, adversary_kind, graph, seed, ratio, probability,
+                            stem_cap, pick)
+
+
+@pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])
+@pytest.mark.parametrize("kind", PROTOCOL_KINDS)
+@settings(max_examples=25)
+@given(graph=set_branch_graphs(), seed=st.integers(0, 2 ** 16),
+       ratio=st.sampled_from([0.1, 0.3]),
+       probability=st.sampled_from([0.1, 0.5, 1.0]),
+       stem_cap=st.integers(1, 6), pick=st.integers(0, 2 ** 16))
+def test_sqrt_set_branch_changes_nothing(kind, adversary_kind, graph, seed, ratio,
+                                         probability, stem_cap, pick):
+    check_against_reference(kind, "sqrt", adversary_kind, graph, seed, ratio, probability,
+                            stem_cap, pick)
 
 
 @pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])

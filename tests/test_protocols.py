@@ -1,10 +1,14 @@
 """Tests for the routing protocols: fanout rules, stem behaviour, pinned
 relays and circuit routing."""
 
+import math
 import random
+from types import SimpleNamespace
 
 import networkx as nx
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gossipsim.engine import (PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_STEM,
                               SimMessage, derive_seed, run_message,
@@ -18,6 +22,12 @@ from gossipsim.protocols import (AnonymityGraph, ProtocolConfig,
 
 def star(leaves=9):
     return NetworkGraph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+def star_path(d):
+    """Hub 0 with leaves 1..d chained into a path; hub edge i has latency i."""
+    edges = [(0, i) for i in range(1, d + 1)] + [(i, i + 1) for i in range(1, d)]
+    return NetworkGraph(d + 1, edges, [float(i) for i in range(1, d + 1)] + [1.0] * (d - 1))
 
 
 class TestProtocolConfig:
@@ -97,6 +107,62 @@ class TestFanout:
         proto = make_protocol(graph, cfg)
         msg = run_message(spawn_message(0, proto, rng=random.Random(5)), proto)
         assert msg.spread_ratio >= 0.99
+
+
+class TestSqrtSampler:
+    """The inline sqrt sample is random.Random.sample on the sender-free
+    neighbor list, draw for draw. CPython's sample takes its pool branch when
+    the population n is at most 21 (c <= 5) or 85 (6 <= c <= 21), and its set
+    branch above."""
+
+    @staticmethod
+    def check_hub_draw(d, with_sender, seed):
+        """Fan out of the hub of star_path(d); returns the sampled pool size."""
+        graph = star_path(d)
+        proto = make_protocol(graph, ProtocolConfig(kind="broadcast", broadcast_mode="sqrt"))
+        c = proto._fan[0]
+        sender = 1 + seed % d if with_sender else -1
+        pool = graph.adj[0]
+        if with_sender and d > c:
+            pool = [p for p in pool if p[0] != sender]
+        msg = SimMessage(0, 0, rng=random.Random(seed))
+        proto._broadcast(msg, 2.5, 0, sender)
+        ref = random.Random(seed)
+        expected = [(w, 2.5 + lat) for w, lat in ref.sample(pool, c)]
+        pushed = sorted(msg.queue, key=lambda e: e[1])
+        assert [(e[3], e[0]) for e in pushed] == expected
+        assert [e[1] for e in pushed] == list(range(c)) and msg.seq == c
+        assert msg.rng.getstate() == ref.getstate()
+        return len(pool)
+
+    @given(d=st.integers(1, 300), with_sender=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_random_sample(self, d, with_sender, seed):
+        self.check_hub_draw(d, with_sender, seed)
+
+    @given(shape=st.sampled_from([(22, False), (23, False), (24, False), (25, False),
+                                  (23, True), (24, True), (25, True)]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_set_branch_small_fanout(self, shape, seed):
+        d, with_sender = shape
+        assert 21 < self.check_hub_draw(d, with_sender, seed) <= 25  # c = 5
+
+    @given(d=st.integers(87, 300), with_sender=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_set_branch_hub(self, d, with_sender, seed):
+        assert self.check_hub_draw(d, with_sender, seed) > 85  # 10 <= c <= 18
+
+    def test_fan_is_ceil_sqrt_degree(self):
+        rows = [[(0, 1.0)] * d for d in range(401)]
+        proto = make_protocol(SimpleNamespace(n=len(rows), adj=rows),
+                              ProtocolConfig(kind="broadcast", broadcast_mode="sqrt"))
+        expected = []
+        for d in range(401):
+            c = math.isqrt(d)
+            if c * c < d:
+                c += 1
+            expected.append(c)
+        assert proto._fan == expected
 
 
 class TestStemRouting:
