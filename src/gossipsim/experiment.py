@@ -155,6 +155,8 @@ class ExperimentConfig:
         for est in self.estimators:
             if est not in ESTIMATORS:
                 raise ConfigError(f"estimator: unknown estimator {est!r}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ConfigError(f"estimator: repeated estimator in {list(self.estimators)}")
         if self.num_messages < 1:
             raise ConfigError(f"num_messages: must be >= 1, got {self.num_messages}")
         if not self.seeds:
@@ -162,6 +164,9 @@ class ExperimentConfig:
         with _config_key("seeds"):
             for seed in self.seeds:
                 derive_seed(seed)
+        # a repeated seed would add a duplicate row and weigh twice in mean and std
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds: repeated seed in {list(self.seeds)}")
         # estimation needs someone to observe
         if self.estimators and self.adversary_ratios is not None and generated:
             for f in self.adversary_ratios:

@@ -12,6 +12,7 @@ import random
 from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -163,6 +164,32 @@ class NetworkGraph:
             return row[i][1]
         raise KeyError((u, v))
 
+    def path_latency(self, u, v):
+        """Shortest-path latency from u to v; math.inf if v is unreachable.
+
+        Dijkstra over adj that returns when v is settled and queues no
+        candidate at or above v's tentative distance. Every latency is at
+        least LATENCY_FLOOR_MS, so the distances are the unique solution of
+        d[u] = 0, d[x] = min over y of fl(d[y] + w(y, x)): the result equals
+        scipy's dijkstra bit for bit, whatever the heap's tie order.
+        """
+        adj = self.adj
+        dist = [math.inf] * self.n
+        dist[u] = 0.0
+        heap = [(0.0, u)]
+        while heap:
+            d, x = heappop(heap)
+            if x == v:
+                return d
+            if d > dist[x]:
+                continue
+            for y, l in adj[x]:
+                dy = d + l
+                if dy < dist[y] and dy < dist[v]:
+                    dist[y] = dy
+                    heappush(heap, (dy, y))
+        return math.inf
+
     def is_connected(self):
         return max(self._component_labels()) == 0
 
@@ -194,7 +221,11 @@ class NetworkGraph:
         return g
 
     def csr_latency_matrix(self):
-        """Sparse latency matrix built lazily from adj (used for overlay shortest paths)."""
+        """scipy CSR latency matrix built lazily from adj.
+
+        scipy is imported on first call. No simulation path calls this
+        (circuit hops use path_latency); it is kept for scipy-based checks.
+        """
         if self._csr is None:
             from scipy.sparse import csr_matrix
             indptr = np.cumsum([0] + [len(row) for row in self.adj], dtype=np.int32)

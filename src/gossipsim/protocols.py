@@ -274,23 +274,24 @@ class OnionProtocol(_BroadcastBase):
 
     Relays are drawn uniformly at spawn (distinct, excluding the originator).
     A circuit hop is an overlay link: its latency is the shortest-path latency
-    between the two relays. Circuit deliveries carry no sender information an
-    observer could link (handled by the adversary via the phase tag).
+    between the two relays (graph.path_latency, memoised per ordered pair).
+    Circuit deliveries carry no sender information an observer could link
+    (handled by the adversary via the phase tag).
     """
 
     def __init__(self, graph, config):
         super().__init__(graph, config)
         check_onion_path_len(config.onion_path_len, graph.n)
         self.path_len = config.onion_path_len
-        self._dist_rows = {}
+        self._dist = {}
 
     def _spdist(self, u, v):
-        row = self._dist_rows.get(u)
-        if row is None:
-            from scipy.sparse.csgraph import dijkstra
-            row = dijkstra(self.graph.csr_latency_matrix(), indices=u)
-            self._dist_rows[u] = row
-        return float(row[v])
+        # keyed by the ordered pair: summed from v's end, a path's float
+        # latency can differ in the last bit
+        d = self._dist.get((u, v))
+        if d is None:
+            d = self._dist[u, v] = self.graph.path_latency(u, v)
+        return d
 
     def on_spawn(self, msg):
         o = msg.originator

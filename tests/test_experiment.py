@@ -160,6 +160,8 @@ class TestParsing:
          "adversary.nodes"),
         ({"n": 20, "k": 4, "adversary_ratios": None,
           "adversary_nodes": tuple(range(20))}, "adversary.nodes"),
+        ({"seeds": (0, 1, 1)}, "seeds"),
+        ({"estimators": ("first_sent", "first_sent")}, "estimator"),
     ])
     def test_error_names_its_key(self, fields, key):
         with pytest.raises(ConfigError) as err:
@@ -440,6 +442,21 @@ class TestCli:
         assert main(["validate", "--config", str(bad)]) == 2
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         assert "seeds: seed must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("seeds = 0..1", "seeds = 0, 1, 1", "seeds:"),
+        ("seeds = 0..1", "seeds = 0..2, 2", "seeds:"),
+        ("estimator = first_reach, first_sent", "estimator = first_sent, first_sent",
+         "estimator:"),
+    ])
+    def test_repeated_seed_or_estimator_exits_2(self, tmp_path, capsys, old, new, key):
+        # a repeated value would write duplicate rows and skew the aggregate
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(SMOKE_CONFIG.replace(old, new))
+        assert main(["validate", "--config", str(bad)]) == 2
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        assert f"error: {key} repeated" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv"))
 
     def test_dense_regular_exits_2(self, tmp_path, capsys):

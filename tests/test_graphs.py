@@ -132,6 +132,17 @@ class TestEdgeViews:
             assert np.array_equal(got, want)
 
 
+class TestPathLatency:
+    # tests/test_properties.py checks every pair against scipy's dijkstra
+    def test_unreachable_is_inf(self):
+        g = NetworkGraph(5, [(0, 1), (1, 2), (3, 4)], latencies=[2.0, 3.0, 1.0],
+                         check_connected=False)
+        assert g.path_latency(0, 2) == 5.0
+        assert g.path_latency(0, 4) == math.inf
+        assert g.path_latency(4, 0) == math.inf
+        assert g.path_latency(3, 3) == 0.0
+
+
 # random small edge lists, self-loops and duplicates included
 edge_lists = st.integers(1, 9).flatmap(lambda n: st.tuples(
     st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),

@@ -2,7 +2,10 @@
 relays and circuit routing."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import networkx as nx
@@ -329,6 +332,25 @@ class TestCircuitRouting:
             dist = nx.dijkstra_path_length(nxg, frm, to, weight="latency")
             assert t - prev_t == pytest.approx(dist, abs=1e-9)
             prev_t, prev_node = t, to
+
+    def test_onion_sweep_leaves_scipy_sparse_unloaded(self, tmp_path):
+        # circuit hops search adj in the package: importing scipy.sparse.csgraph
+        # would add about 30 MB of peak memory to every onion sweep
+        code = ("import sys, gossipsim as g\n"
+                "graph = g.assign_weights(g.gen_random_regular(60, 6, 0),\n"
+                "                         g.WeightGeneratorSpec(), 0)\n"
+                "proto = g.make_protocol(graph, g.ProtocolConfig(kind='onion'))\n"
+                "adv = g.Adversary(graph, g.AdversaryConfig(ratio=0.1), seed=0)\n"
+                "run = g.Simulation(proto, adv, num_messages=5, seed=0).run()\n"
+                "assert g.evaluate(run, 'first_sent').num_messages == 5\n"
+                "cfg = g.parse_config('topology.n = 40\\ntopology.k = 4\\n'\n"
+                "                     'protocol.kind = onion\\nadversary.ratio = 0.1\\n'\n"
+                "                     'num_messages = 3\\nseeds = 0..1\\n')\n"
+                "rows, _, _ = g.run_experiment(cfg, out_dir=sys.argv[1])\n"
+                "assert len(rows) == 2\n"
+                "assert 'scipy.sparse' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env, check=True)
 
     def test_exit_floods_everyone(self):
         graph = self.graph()
