@@ -20,6 +20,7 @@ import numpy as np
 from .engine import (FORWARDED, PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_STEM,
                      derive_seed)
 from .errors import ParameterError
+from .graphs import ShortestPaths
 
 PROTOCOL_KINDS = ("broadcast", "dandelion", "dandelion_pp", "onion")
 BROADCAST_MODES = ("all", "sqrt")
@@ -274,7 +275,8 @@ class OnionProtocol(_BroadcastBase):
 
     Relays are drawn uniformly at spawn (distinct, excluding the originator).
     A circuit hop is an overlay link: its latency is the shortest-path latency
-    between the two relays (graph.path_latency, memoised per ordered pair).
+    between the two relays, searched afresh per hop by ShortestPaths: relays
+    are uniform, so a cell almost never asks for the same pair twice.
     Circuit deliveries carry no sender information an observer could link
     (handled by the adversary via the phase tag).
     """
@@ -283,15 +285,7 @@ class OnionProtocol(_BroadcastBase):
         super().__init__(graph, config)
         check_onion_path_len(config.onion_path_len, graph.n)
         self.path_len = config.onion_path_len
-        self._dist = {}
-
-    def _spdist(self, u, v):
-        # keyed by the ordered pair: summed from v's end, a path's float
-        # latency can differ in the last bit
-        d = self._dist.get((u, v))
-        if d is None:
-            d = self._dist[u, v] = self.graph.path_latency(u, v)
-        return d
+        self._paths = ShortestPaths(graph)
 
     def on_spawn(self, msg):
         o = msg.originator
@@ -299,14 +293,14 @@ class OnionProtocol(_BroadcastBase):
         picks = msg.rng.sample(range(self.graph.n - 1), self.path_len)
         circuit = [i + 1 if i >= o else i for i in picks]
         msg.circuit = circuit
-        msg.push(self._spdist(o, circuit[0]), o, circuit[0], PHASE_CIRCUIT, 0)
+        msg.push(self._paths.latency(o, circuit[0]), o, circuit[0], PHASE_CIRCUIT, 0)
 
     def on_receive(self, msg, t, frm, to, phase, hop):
         if phase == PHASE_BROADCAST:
             self._broadcast(msg, t, to, frm)
         elif hop + 1 < len(msg.circuit):
             nxt = msg.circuit[hop + 1]
-            msg.push(t + self._spdist(to, nxt), to, nxt, PHASE_CIRCUIT, hop + 1)
+            msg.push(t + self._paths.latency(to, nxt), to, nxt, PHASE_CIRCUIT, hop + 1)
         else:
             self._broadcast(msg, t, to, -1)
 

@@ -15,7 +15,7 @@ from scipy.sparse import coo_matrix
 
 from gossipsim.errors import FormatError, GenerationError, ParameterError
 from gossipsim.graphs import (LATENCY_FLOOR_MS, STAKE_LOG_BOUND, NetworkGraph,
-                              WeightGeneratorSpec, _choice, _largest_component,
+                              ShortestPaths, WeightGeneratorSpec, _choice, _largest_component,
                               _regular_edges, _scale_free_edges, _shuffle,
                               assign_weights, gen_random_regular,
                               gen_scale_free, get_central_nodes, load_graph,
@@ -132,15 +132,18 @@ class TestEdgeViews:
             assert np.array_equal(got, want)
 
 
-class TestPathLatency:
+class TestShortestPaths:
     # tests/test_properties.py checks every pair against scipy's dijkstra
     def test_unreachable_is_inf(self):
-        g = NetworkGraph(5, [(0, 1), (1, 2), (3, 4)], latencies=[2.0, 3.0, 1.0],
+        g = NetworkGraph(6, [(0, 1), (1, 2), (3, 4)], latencies=[2.0, 3.0, 1.0],
                          check_connected=False)
-        assert g.path_latency(0, 2) == 5.0
-        assert g.path_latency(0, 4) == math.inf
-        assert g.path_latency(4, 0) == math.inf
-        assert g.path_latency(3, 3) == 0.0
+        paths = ShortestPaths(g)
+        assert paths.latency(0, 2) == 5.0
+        assert paths.latency(0, 4) == math.inf
+        assert paths.latency(4, 0) == math.inf
+        assert paths.latency(3, 3) == 0.0
+        assert paths.latency(5, 0) == math.inf  # 5 has no edges
+        assert paths.latency(0, 5) == math.inf
 
 
 # random small edge lists, self-loops and duplicates included

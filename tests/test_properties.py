@@ -20,7 +20,7 @@ from gossipsim.engine import (PHASE_BROADCAST, Simulation, run_message,
                               spawn_message)
 from gossipsim.estimators import CandidateDistribution, refine_dandelion
 from gossipsim.evaluator import rank_of
-from gossipsim.graphs import (WeightGeneratorSpec, assign_weights,
+from gossipsim.graphs import (ShortestPaths, WeightGeneratorSpec, assign_weights,
                               gen_random_regular, gen_scale_free)
 from gossipsim.protocols import (PROTOCOL_KINDS, STEM_KINDS, ProtocolConfig,
                                  build_anonymity_graph, make_protocol)
@@ -184,13 +184,14 @@ def test_flood_to_all_is_dijkstra(adversary_kind, graph, seed, ratio, pick):
 
 
 @given(graph=weighted_graphs())
-def test_path_latency_is_dijkstra(graph):
+def test_shortest_paths_is_dijkstra(graph):
     # compared with ==: the search must equal scipy's row bit for bit, also
     # under 'unweighted', where many paths tie
     csr = graph.csr_latency_matrix()
+    paths = ShortestPaths(graph)
     for u in range(graph.n):
         row = dijkstra(csr, indices=u)
-        assert [graph.path_latency(u, v) for v in range(graph.n)] == row.tolist()
+        assert [paths.latency(u, v) for v in range(graph.n)] == row.tolist()
 
 
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)

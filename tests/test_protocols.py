@@ -334,7 +334,7 @@ class TestCircuitRouting:
             prev_t, prev_node = t, to
 
     def test_onion_sweep_leaves_scipy_sparse_unloaded(self, tmp_path):
-        # circuit hops search adj in the package: importing scipy.sparse.csgraph
+        # circuit hops are searched in the package: importing scipy.sparse.csgraph
         # would add about 30 MB of peak memory to every onion sweep
         code = ("import sys, gossipsim as g\n"
                 "graph = g.assign_weights(g.gen_random_regular(60, 6, 0),\n"
