@@ -76,11 +76,8 @@ def check_adversary_nodes(nodes, n):
         raise ParameterError("adversary cannot hold every node")
 
 
-def place_adversaries(graph, config, seed=0, scores=None):
-    """Pick the adversarial node set; returns a sorted tuple of node ids.
-
-    scores is get_central_nodes' per-graph cache of centrality scores.
-    """
+def place_adversaries(graph, config, seed=0):
+    """Pick the adversarial node set; returns a sorted tuple of node ids."""
     if config.nodes is not None:
         nodes = sorted(set(int(u) for u in config.nodes))
         check_adversary_nodes(nodes, graph.n)
@@ -90,24 +87,21 @@ def place_adversaries(graph, config, seed=0, scores=None):
         rng = np.random.default_rng(derive_seed(seed, 8))
         picked = rng.permutation(graph.n)[:count]
         return tuple(sorted(int(u) for u in picked))
-    return tuple(sorted(get_central_nodes(graph, count, metric=config.placement,
-                                          scores=scores)))
+    return tuple(sorted(get_central_nodes(graph, count, metric=config.placement)))
 
 
 class Adversary:
     """Holds the adversarial nodes and the per-message observation logs.
 
     graph is the network the nodes were placed on; a simulation accepts the
-    adversary only on that same graph object. scores, if given, is the
-    graph's centrality-score cache (see get_central_nodes), shared by the
-    adversaries placed on one graph.
+    adversary only on that same graph object.
     """
 
-    def __init__(self, graph, config, seed=0, scores=None):
+    def __init__(self, graph, config, seed=0):
         self.graph = graph
         self.active = config.active
         self.protocol_aware = config.protocol_aware
-        self.nodes = frozenset(place_adversaries(graph, config, seed, scores))
+        self.nodes = frozenset(place_adversaries(graph, config, seed))
         self._logs = {}
 
     def observe(self, message_id, observer, sender, arrival, phase):

@@ -23,7 +23,8 @@ def build_parser():
     p_run.add_argument("--out", default=".",
                        help="directory for the report CSVs (default: cwd)")
     p_run.add_argument("--parallel", type=int, default=1, metavar="N",
-                       help="number of worker processes (default: 1)")
+                       help="worker processes; each runs one seed at a time, so at "
+                       "most one per seed is started (default: 1)")
 
     p_plot = sub.add_parser("plot-data",
                             help="reduce a report CSV to plot-ready series")

@@ -13,6 +13,8 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import groupby, repeat
+from operator import attrgetter
 
 from .adversary import (Adversary, AdversaryConfig, adversary_count,
                         check_adversary_nodes)
@@ -340,37 +342,18 @@ def load_config(path):
 
 # -- execution -----------------------------------------------------------
 
-_GRAPH_CACHE = {}
-
-
-def _graph_for(cfg, topology, seed):
-    """Weighted graph for one (config, topology, seed), and its score cache.
-
-    Each process caches the graphs of the seed it is running and drops them
-    when the next seed starts; tasks run seed-major, so none is rebuilt.
-    With each graph it keeps the dict that get_central_nodes fills with the
-    graph's centrality scores, so betweenness is computed once per graph, not
-    once per cell. run_experiment empties the cache when a sweep starts and
-    ends, so a graph file rewritten between sweeps is read again.
-    """
-    spec = cfg.weight_spec()
-    key = (topology, cfg.n, cfg.k, cfg.m, cfg.graph_path, cfg.node_weight_file,
-           spec, seed)
-    entry = _GRAPH_CACHE.get(key)
-    if entry is None:
-        for old in [k for k in _GRAPH_CACHE if k[-1] != seed]:
-            del _GRAPH_CACHE[old]
-        if topology == "regular":
-            graph = gen_random_regular(cfg.n, cfg.k, seed)
-        elif topology == "scale_free":
-            graph = gen_scale_free(cfg.n, cfg.m, seed)
-        else:
-            graph = load_graph(cfg.graph_path)
-        graph = assign_weights(graph, spec, seed)
-        if cfg.node_weight_file:
-            graph = load_node_weights(graph, cfg.node_weight_file)
-        entry = _GRAPH_CACHE[key] = (graph, {})
-    return entry
+def _build_graph(cfg, topology, seed):
+    """Weighted graph for one topology at one seed."""
+    if topology == "regular":
+        graph = gen_random_regular(cfg.n, cfg.k, seed)
+    elif topology == "scale_free":
+        graph = gen_scale_free(cfg.n, cfg.m, seed)
+    else:
+        graph = load_graph(cfg.graph_path)
+    graph = assign_weights(graph, cfg.weight_spec(), seed)
+    if cfg.node_weight_file:
+        graph = load_node_weights(graph, cfg.node_weight_file)
+    return graph
 
 
 def _k_or_m(cfg, topology):
@@ -381,9 +364,13 @@ def _k_or_m(cfg, topology):
     return None
 
 
-def run_cell(cfg, cell, seed):
-    """Simulate one cell at one seed; returns one row dict per estimator."""
-    graph, scores = _graph_for(cfg, cell.topology, seed)
+def run_cell(cfg, cell, seed, graph=None):
+    """Simulate one cell at one seed; returns one row dict per estimator.
+
+    graph is the cell's weighted graph at this seed; it is built when omitted.
+    """
+    if graph is None:
+        graph = _build_graph(cfg, cell.topology, seed)
     adv_cfg = AdversaryConfig(
         ratio=cell.adversary_ratio,
         nodes=cfg.adversary_nodes,
@@ -391,7 +378,7 @@ def run_cell(cfg, cell, seed):
         else "random",
         active=cell.adversary_active,
         protocol_aware=cfg.protocol_aware)
-    adversary = Adversary(graph, adv_cfg, seed, scores=scores)
+    adversary = Adversary(graph, adv_cfg, seed)
     if cfg.estimators and not adversary.nodes:
         raise ConfigError(
             f"adversary.ratio: floor({cell.adversary_ratio} * {graph.n}) is an empty "
@@ -426,9 +413,18 @@ def run_cell(cfg, cell, seed):
             for estimator in cfg.estimators]
 
 
-def _run_task(args):
-    cfg, cell, seed = args
-    return run_cell(cfg, cell, seed)
+def run_seed(cfg, seed):
+    """Run every cell at one seed; returns their rows in cell order.
+
+    cells() lists cells topology by topology, so each topology's graph, with
+    its centrality scores, is built once, when its first cell needs it.
+    """
+    rows = []
+    for topology, cells in groupby(cfg.cells(), key=attrgetter("topology")):
+        graph = _build_graph(cfg, topology, seed)
+        for cell in cells:
+            rows.extend(run_cell(cfg, cell, seed, graph))
+    return rows
 
 
 def _row_order(row):
@@ -442,23 +438,17 @@ def _row_order(row):
 def run_experiment(cfg, out_dir=".", parallel=1):
     """Run the full sweep and write the report and aggregate CSVs.
 
-    Cells x seeds are independent; with parallel > 1 they are distributed over
-    worker processes. Rows are gathered and sorted before writing, so the
-    output bytes do not depend on scheduling.
+    Seeds are independent; with parallel > 1 they are distributed over at
+    most len(cfg.seeds) worker processes. Rows are gathered and sorted before
+    writing, so the output bytes do not depend on scheduling.
     """
     cfg.validate()
-    cells = cfg.cells()
-    # seed-major order so a worker chunk reuses one seed's graphs
-    tasks = [(cfg, cell, seed) for seed in cfg.seeds for cell in cells]
-    _GRAPH_CACHE.clear()
-    try:
-        if parallel > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
-                results = list(pool.map(_run_task, tasks, chunksize=max(1, len(cells))))
-        else:
-            results = [_run_task(t) for t in tasks]
-    finally:
-        _GRAPH_CACHE.clear()
+    workers = min(parallel, len(cfg.seeds))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_seed, repeat(cfg), cfg.seeds))
+    else:
+        results = [run_seed(cfg, seed) for seed in cfg.seeds]
     rows = [row for chunk in results for row in chunk]
     rows.sort(key=_row_order)
 

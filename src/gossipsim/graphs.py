@@ -86,6 +86,8 @@ class NetworkGraph:
     sorted order, which pins the iteration order used by weight assignment
     and export), latencies (in edge order), latency(u, v) and the lazy CSR
     matrix. Self-loops are dropped; a duplicate edge keeps its first latency.
+    The graph also keeps the centrality scores computed on it (see
+    get_central_nodes); a graph derived from it starts without them.
     """
 
     def __init__(self, n, edges, latencies=None, node_weights=None, labels=None,
@@ -122,6 +124,7 @@ class NetworkGraph:
         if len(self.labels) != n:
             raise ParameterError("label list does not match node count")
         self._csr = None
+        self._scores = {}
 
         if check_connected and not self.is_connected():
             raise ParameterError("graph is not connected")
@@ -139,6 +142,7 @@ class NetworkGraph:
         graph.node_weights = node_weights
         graph.labels = labels
         graph._csr = None
+        graph._scores = {}
         return graph
 
     @property
@@ -640,17 +644,16 @@ def centrality_scores(graph, metric):
     raise ParameterError(f"unknown centrality metric {metric!r}")
 
 
-def get_central_nodes(graph, count, metric="degree", scores=None):
+def get_central_nodes(graph, count, metric="degree"):
     """Top-count nodes by a centrality metric; ties broken by ascending id.
 
-    scores, a dict kept with the graph, maps each metric computed so far to
-    its per-node scores; a metric missing from it is computed and added, so
-    later calls on the same graph reuse it.
+    Each metric's scores are computed once per graph and kept on it, so later
+    calls on the same graph reuse them.
     """
     if not (0 <= count <= graph.n):
         raise ParameterError(f"count must be in [0, {graph.n}], got {count}")
-    scores = {} if scores is None else scores
-    if metric not in scores:
-        scores[metric] = centrality_scores(graph, metric)
-    order = sorted(range(graph.n), key=lambda u: (-scores[metric][u], u))
+    scores = graph._scores.get(metric)
+    if scores is None:
+        scores = graph._scores[metric] = centrality_scores(graph, metric)
+    order = sorted(range(graph.n), key=lambda u: (-scores[u], u))
     return order[:count]

@@ -20,7 +20,7 @@ from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.cli import main
 from gossipsim.engine import Simulation, run_message, spawn_message
 from gossipsim.evaluator import evaluate
-from gossipsim.experiment import ExperimentConfig, run_cell
+from gossipsim.experiment import ExperimentConfig, run_seed
 from gossipsim.graphs import (WeightGeneratorSpec, assign_weights,
                               gen_random_regular, gen_scale_free)
 from gossipsim.protocols import ProtocolConfig, make_protocol
@@ -63,8 +63,7 @@ def _sweep(**overrides):
 def _run_rows(cfg):
     rows = []
     for seed in cfg.seeds:
-        for cell in cfg.cells():
-            rows.extend(run_cell(cfg, cell, seed))
+        rows.extend(run_seed(cfg, seed))
     return rows
 
 

@@ -264,19 +264,23 @@ class TestRunExperiment:
         _, report2, _ = run_experiment(cfg, out_dir=str(tmp_path), parallel=2)
         assert Path(report2).read_bytes() == Path(report_path).read_bytes()
 
-    def test_graph_cache_keeps_only_current_seed(self, monkeypatch):
-        monkeypatch.setattr(experiment, "_GRAPH_CACHE", {})
+    def test_run_seed_weights_each_graph_once(self, monkeypatch):
+        weighed = []
+        assign = experiment.assign_weights
+
+        def counting(graph, spec, seed):  # edges: 180 regular, 275 scale-free
+            weighed.append((seed, len(graph.edges)))
+            return assign(graph, spec, seed)
+
+        monkeypatch.setattr(experiment, "assign_weights", counting)
         cfg = parse_config(SMOKE_CONFIG.replace("topology.kind = regular",
                                                 "topology.kind = regular, scale_free"))
-        one_per_topology = {cell.topology: cell for cell in cfg.cells()}.values()
-        for seed in (0, 1):
-            for cell in one_per_topology:
-                experiment.run_cell(cfg, cell, seed)
-        seeds = [key[-1] for key in experiment._GRAPH_CACHE]
-        assert seeds == [1, 1]
+        assert len(cfg.cells()) == 12
+        for seed in cfg.seeds:
+            experiment.run_seed(cfg, seed)
+        assert weighed == [(0, 180), (0, 275), (1, 180), (1, 275)]
 
     def test_betweenness_scored_once_per_graph(self, monkeypatch):
-        monkeypatch.setattr(experiment, "_GRAPH_CACHE", {})
         calls = []
         score = graphs.centrality_scores
 
@@ -287,8 +291,8 @@ class TestRunExperiment:
         placed = []
         adversary = experiment.Adversary
 
-        def recording(graph, config, seed, **kwargs):
-            placed.append((graph, config, seed, adversary(graph, config, seed, **kwargs)))
+        def recording(graph, config, seed):
+            placed.append((graph, config, seed, adversary(graph, config, seed)))
             return placed[-1][-1]
 
         monkeypatch.setattr(graphs, "centrality_scores", counting)
@@ -297,13 +301,15 @@ class TestRunExperiment:
                                                 "adversary.ratio = 0.1, 0.2\n"
                                                 "adversary.placement = betweenness"))
         for seed in cfg.seeds:
-            for cell in cfg.cells():
-                experiment.run_cell(cfg, cell, seed)
+            experiment.run_seed(cfg, seed)
         assert len(placed) == 6 * len(cfg.seeds)
         assert calls == ["betweenness"] * len(cfg.seeds)
-        # the cached scores place the nodes that a fresh computation places
+        # the kept scores place the nodes that a fresh computation places on a
+        # copy of the graph, which starts without scores
         for graph, config, seed, adv in placed:
-            assert adv.nodes == frozenset(place_adversaries(graph, config, seed))
+            fresh = graphs.NetworkGraph(graph.n, graph.edges, graph.latencies)
+            assert not fresh._scores
+            assert adv.nodes == frozenset(place_adversaries(fresh, config, seed))
 
     def test_rewritten_graph_file_is_reread(self, tmp_path):
         graph_file = tmp_path / "net.txt"
@@ -315,7 +321,70 @@ class TestRunExperiment:
             save_graph(gen_random_regular(n, 4, seed=1), graph_file)
             rows, _, _ = run_experiment(cfg, out_dir=str(tmp_path))
             assert rows[0]["n"] == n
-        assert not experiment._GRAPH_CACHE
+
+    def test_run_cell_rereads_rewritten_graph_file(self, tmp_path):
+        graph_file = tmp_path / "net.txt"
+        cfg = parse_config("topology.kind = file\n"
+                           f"topology.path = {graph_file}\n"
+                           "num_messages = 2\n"
+                           "seeds = 0\n")
+        cell = cfg.cells()[0]
+        for n in (30, 40):
+            save_graph(gen_random_regular(n, 4, seed=1), graph_file)
+            rows = experiment.run_cell(cfg, cell, 0)
+            assert rows[0]["n"] == n
+
+    def test_run_cell_rereads_rewritten_weight_file(self, monkeypatch, tmp_path):
+        weight_file = tmp_path / "weights.txt"
+        cfg = parse_config("topology.n = 30\n"
+                           "topology.k = 4\n"
+                           f"weights.node_weight_file = {weight_file}\n"
+                           "num_messages = 2\n"
+                           "seeds = 0\n")
+        cell = cfg.cells()[0]
+        built = []
+        make = experiment.make_protocol
+
+        def recording(graph, config, seed):
+            built.append(graph)
+            return make(graph, config, seed)
+
+        monkeypatch.setattr(experiment, "make_protocol", recording)
+        for weight in (2.5, 7.5):
+            weight_file.write_text(f"0 {weight}\n")
+            experiment.run_cell(cfg, cell, 0)
+            assert built[-1].node_weights[0] == weight
+
+    def test_parallel_workers_capped_at_seed_count(self, monkeypatch, tmp_path):
+        workers = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        cfg = parse_config(SMOKE_CONFIG)
+        run_experiment(cfg, out_dir=str(tmp_path / "two"), parallel=64)
+        assert workers == [2]
+        one = parse_config(SMOKE_CONFIG.replace("seeds = 0..1", "seeds = 1"))
+        run_experiment(one, out_dir=str(tmp_path / "one"), parallel=2)
+        assert workers == [2]
+
+    def test_one_seed_parallel_matches_serial(self, tmp_path):
+        cfg = parse_config(SMOKE_CONFIG.replace("seeds = 0..1", "seeds = 1"))
+        _, serial, serial_agg = run_experiment(cfg, out_dir=str(tmp_path / "serial"))
+        _, par, par_agg = run_experiment(cfg, out_dir=str(tmp_path / "par"), parallel=2)
+        assert Path(par).read_bytes() == Path(serial).read_bytes()
+        assert Path(par_agg).read_bytes() == Path(serial_agg).read_bytes()
 
     def test_file_topology_and_explicit_nodes(self, tmp_path):
         graph_file = tmp_path / "net.txt"

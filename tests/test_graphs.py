@@ -65,7 +65,7 @@ class TestNetworkGraph:
 
     def test_adj_is_the_only_edge_store(self, tmp_path):
         g = triangle()
-        assert set(vars(g)) == {"n", "adj", "node_weights", "labels", "_csr"}
+        assert set(vars(g)) == {"n", "adj", "node_weights", "labels", "_csr", "_scores"}
         assert g.adj[1] == [(0, 1.0), (2, 1.0)]
         path = tmp_path / "weights.txt"
         path.write_text("1 2.5\n")
@@ -493,3 +493,13 @@ class TestCentrality:
         bc = nx.betweenness_centrality(g.to_networkx(), weight=None)
         ref = sorted(range(30), key=lambda u: (-bc[u], u))[:5]
         assert ours == ref
+
+    def test_scores_kept_per_graph(self, tmp_path):
+        g = self.star()
+        assert get_central_nodes(g, 1, metric="degree") == [0]
+        assert list(g._scores) == ["degree"]
+        path = tmp_path / "weights.txt"
+        path.write_text("1 2.5\n")
+        weighted = assign_weights(g, WeightGeneratorSpec(), seed=0)
+        for derived in (weighted, load_node_weights(weighted, path)):
+            assert derived._scores == {}
