@@ -3,16 +3,18 @@
 Adversaries control a fixed set of nodes. They never originate messages. A
 passive adversary only logs deliveries at its nodes; an active one logs and
 then censors (the protocol callback is suppressed by the engine, so the
-message silently stops at that node). Deanonymization itself lives in the
-estimators module; this one only collects the raw material.
+message silently stops at that node). Each log entry is the engine's own
+delivery tuple (arrival, sender, observer, phase), the layout of a kept
+message's events. Deanonymization itself, including which phases link a
+sender to the message, lives in the estimators module; this one only
+collects the raw material.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .engine import PHASE_CIRCUIT, derive_seed
+from .engine import derive_seed
 from .errors import ParameterError
 from .graphs import get_central_nodes
 
@@ -43,21 +45,6 @@ class AdversaryConfig:
             raise ParameterError(f"unknown adversary placement {self.placement!r}")
         if self.nodes is not None:
             self.nodes = tuple(self.nodes)
-
-
-class Observation(NamedTuple):
-    """One delivery seen at an adversarial node.
-
-    linkable is False for circuit-phase deliveries: the observer holds an
-    opaque layered payload and cannot tie the sender to the message content.
-    """
-
-    message_id: int
-    observer: int
-    sender: int
-    arrival: float
-    phase: int
-    linkable: bool
 
 
 def adversary_count(ratio, n):
@@ -109,12 +96,12 @@ class Adversary:
         log = self._logs.get(message_id)
         if log is None:
             log = self._logs[message_id] = []
-        log.append(Observation(message_id, observer, sender, arrival, phase,
-                               phase != PHASE_CIRCUIT))
+        log.append((arrival, sender, observer, phase))
         return self.active
 
     def observations(self, message_id):
-        """All deliveries logged for one message, in delivery order."""
+        """All (arrival, sender, observer, phase) deliveries logged for one
+        message, in delivery order."""
         return self._logs.get(message_id, [])
 
     def __repr__(self):

@@ -1,6 +1,9 @@
 """Deanonymization metrics: rank the true originator inside each candidate
 distribution and aggregate over a batch of messages.
 
+A candidate distribution is a {node: probability} dict holding only nodes of
+positive mass, or None for a message with no usable observation.
+
 Ranks are 1-based. Tied probabilities share their mid-rank, and an originator
 the adversary assigned zero mass gets the mid-rank of the whole zero tail, so
 an unobserved message is exactly as bad as a uniform guess. A hit is a strict
@@ -11,8 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .estimators import (NoObservation, estimate_first_reach,
-                         estimate_first_sent, refine_dandelion)
+from .estimators import estimate_first_reach, estimate_first_sent, refine_dandelion
 
 ESTIMATORS = ("first_reach", "first_sent")
 
@@ -43,18 +45,17 @@ class EvaluationReport:
         }
 
 
-def rank_of(dist, originator, num_honest):
+def rank_of(probs, originator, num_honest):
     """1-based rank of the originator in a candidate distribution.
 
-    dist may be None (unobserved message): the rank is then the mid-rank of a
+    probs may be None (unobserved message): the rank is then the mid-rank of a
     uniform guess over all honest nodes. Tied nodes share a mid-rank; zero-mass
     originators get the mid-rank of the zero tail behind the support.
     """
     if num_honest < 1:
         raise ParameterError("need at least one honest node")
-    if dist is None:
+    if probs is None:
         return (num_honest + 1) / 2
-    probs = dist.probs
     w = probs.get(originator, 0.0)
     if w > 0.0:
         higher = 0
@@ -69,10 +70,10 @@ def rank_of(dist, originator, num_honest):
     return support + (num_honest - support + 1) / 2
 
 
-def _entropy_of(dist, num_honest):
-    if dist is None:
+def _entropy_of(probs, num_honest):
+    if probs is None:
         return math.log2(num_honest)
-    return dist.entropy_bits()
+    return -sum(p * math.log2(p) for p in probs.values() if p > 0.0)
 
 
 def compute_report(dists, originators, spread_ratios, num_honest, estimator=""):
@@ -131,18 +132,17 @@ def build_distributions(run, estimator):
     dists = []
     for mid in range(len(run.originators)):
         obs = adversary.observations(mid)
-        try:
-            if estimator == "first_reach":
-                base = estimate_first_reach(obs, exclude=exclude, message_id=mid)
-            else:
-                base = estimate_first_sent(obs, protocol.graph, exclude=exclude,
-                                           message_id=mid)
-            if refine:
-                base = refine_dandelion(base, protocol.anonymity, protocol.p,
-                                        exclude=exclude, stem_cap=protocol.stem_cap)
-            dists.append(base)
-        except NoObservation:
+        if estimator == "first_reach":
+            v = estimate_first_reach(obs, exclude=exclude)
+        else:
+            v = estimate_first_sent(obs, protocol.graph, exclude=exclude)
+        if v is None:
             dists.append(None)
+        elif refine:
+            dists.append(refine_dandelion(v, protocol.anonymity, protocol.p,
+                                          exclude=exclude, stem_cap=protocol.stem_cap))
+        else:
+            dists.append({v: 1.0})
     return dists
 
 

@@ -123,7 +123,6 @@ class NetworkGraph:
         self.labels = list(labels) if labels is not None else [str(i) for i in range(n)]
         if len(self.labels) != n:
             raise ParameterError("label list does not match node count")
-        self._csr = None
         self._scores = {}
 
         if check_connected and not self.is_connected():
@@ -141,7 +140,6 @@ class NetworkGraph:
         graph.adj = adj
         graph.node_weights = node_weights
         graph.labels = labels
-        graph._csr = None
         graph._scores = {}
         return graph
 
@@ -200,19 +198,17 @@ class NetworkGraph:
         return g
 
     def csr_latency_matrix(self):
-        """scipy CSR latency matrix built lazily from adj.
+        """scipy CSR latency matrix of adj, built anew on each call.
 
-        scipy is imported on first call. No simulation path calls this
-        (circuit hops use ShortestPaths); it is kept for scipy-based checks.
+        scipy is imported on call. No simulation path calls this (circuit
+        hops use ShortestPaths); scipy-based checks build one matrix per graph.
         """
-        if self._csr is None:
-            from scipy.sparse import csr_matrix
-            indptr = np.cumsum([0] + [len(row) for row in self.adj], dtype=np.int32)
-            pairs = [p for row in self.adj for p in row]
-            indices = np.fromiter((v for v, _ in pairs), dtype=np.int32, count=len(pairs))
-            data = np.fromiter((l for _, l in pairs), dtype=float, count=len(pairs))
-            self._csr = csr_matrix((data, indices, indptr), shape=(self.n, self.n))
-        return self._csr
+        from scipy.sparse import csr_matrix
+        indptr = np.cumsum([0] + [len(row) for row in self.adj], dtype=np.int32)
+        pairs = [p for row in self.adj for p in row]
+        indices = np.fromiter((v for v, _ in pairs), dtype=np.int32, count=len(pairs))
+        data = np.fromiter((l for _, l in pairs), dtype=float, count=len(pairs))
+        return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     def __repr__(self):
         return f"NetworkGraph(n={self.n}, edges={len(self.edges)})"

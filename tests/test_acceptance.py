@@ -18,7 +18,8 @@ from scipy.sparse.csgraph import dijkstra
 
 from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.cli import main
-from gossipsim.engine import Simulation, run_message, spawn_message
+from gossipsim.engine import (PHASE_CIRCUIT, Simulation, run_message,
+                             spawn_message)
 from gossipsim.evaluator import evaluate
 from gossipsim.experiment import ExperimentConfig, run_seed
 from gossipsim.graphs import (WeightGeneratorSpec, assign_weights,
@@ -384,13 +385,14 @@ def _independent_report(graph, proto, adv, run, estimator):
 
 def _independent_probs(graph, proto, adv, mid, estimator, aware):
     candidates = []
-    for o in adv.observations(mid):
-        if not o.linkable or o.sender in adv.nodes:
+    for arrival, sender, observer, phase in adv.observations(mid):
+        # a circuit hop carries an opaque layered payload: not linkable
+        if phase == PHASE_CIRCUIT or sender in adv.nodes:
             continue
-        when = o.arrival
+        when = arrival
         if estimator == "first_sent":
-            when -= graph.latency(o.sender, o.observer)
-        candidates.append((when, o.sender))
+            when -= graph.latency(sender, observer)
+        candidates.append((when, sender))
     if not candidates:
         return None
     target = min(candidates)[1]

@@ -81,7 +81,8 @@ class TestRunMessage:
         msg = run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
                           adversary=adv, keep_events=True)
         assert (6.0, 1, 2, PHASE_BROADCAST) in msg.events
-        assert [(o.sender, o.arrival) for o in adv.observations(0)] == [(0, 1.0), (1, 6.0)]
+        assert [(sender, arrival) for arrival, sender, _, _ in adv.observations(0)] == [
+            (0, 1.0), (1, 6.0)]
         assert msg.first_receipt[2] == 1.0
 
     def test_stem_revisits_queued(self):

@@ -557,7 +557,7 @@ class TestCli:
 class TestShippedPresets:
     def test_all_preset_configs_parse(self):
         paths = sorted(PRESET_DIR.glob("*.cfg"))
-        assert len(paths) == 7
+        assert len(paths) == 6
         for path in paths:
             cfg = load_config(path)
             assert cfg.cells(), path.name

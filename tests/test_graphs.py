@@ -65,7 +65,7 @@ class TestNetworkGraph:
 
     def test_adj_is_the_only_edge_store(self, tmp_path):
         g = triangle()
-        assert set(vars(g)) == {"n", "adj", "node_weights", "labels", "_csr", "_scores"}
+        assert set(vars(g)) == {"n", "adj", "node_weights", "labels", "_scores"}
         assert g.adj[1] == [(0, 1.0), (2, 1.0)]
         path = tmp_path / "weights.txt"
         path.write_text("1 2.5\n")

@@ -18,7 +18,7 @@ from scipy.sparse.csgraph import dijkstra
 from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.engine import (PHASE_BROADCAST, Simulation, run_message,
                               spawn_message)
-from gossipsim.estimators import CandidateDistribution, refine_dandelion
+from gossipsim.estimators import refine_dandelion
 from gossipsim.evaluator import rank_of
 from gossipsim.graphs import (ShortestPaths, WeightGeneratorSpec, assign_weights,
                               gen_random_regular, gen_scale_free)
@@ -226,13 +226,12 @@ def test_refined_distribution_normalised_over_honest(kind, graph, seed, ratio, p
                                                      stem_cap, pick):
     adversary = Adversary(graph, AdversaryConfig(ratio=ratio), seed=seed)
     honest = honest_nodes(graph, adversary)
-    base = CandidateDistribution(0, {honest[pick % len(honest)]: 1.0})
     anonymity = build_anonymity_graph(graph, kind, seed)
-    refined = refine_dandelion(base, anonymity, p, exclude=adversary.nodes,
-                               stem_cap=stem_cap)
-    assert math.fsum(refined.probs.values()) == pytest.approx(1.0, abs=1e-12)
-    assert all(prob > 0.0 for prob in refined.probs.values())
-    assert not set(refined.probs) & adversary.nodes
+    refined = refine_dandelion(honest[pick % len(honest)], anonymity, p,
+                               exclude=adversary.nodes, stem_cap=stem_cap)
+    assert math.fsum(refined.values()) == pytest.approx(1.0, abs=1e-12)
+    assert all(prob > 0.0 for prob in refined.values())
+    assert not set(refined) & adversary.nodes
     for originator in honest:
         assert 1.0 <= rank_of(refined, originator, len(honest)) <= len(honest)
 
@@ -244,7 +243,7 @@ def test_rank_within_honest_count(num_honest, data):
     weights = data.draw(st.dictionaries(node, st.sampled_from([1.0, 2.0, 3.0])
                                         | st.floats(0.001, 10.0), min_size=1))
     total = sum(weights.values())
-    dist = CandidateDistribution(0, {u: w / total for u, w in weights.items()})
+    dist = {u: w / total for u, w in weights.items()}
     originator = data.draw(node)
     for candidates in (dist, None):
         assert 1.0 <= rank_of(candidates, originator, num_honest) <= num_honest
