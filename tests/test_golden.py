@@ -7,28 +7,44 @@ scale-free and file topologies, all four protocols, both fanout modes, two
 broadcast probabilities, two adversary ratios, every placement, active and
 passive adversaries and both estimators, once per edge-latency mode.
 
-The hashes were recorded with numpy 2.4.6 on CPython 3.11.7. The bytes also
-depend on numpy's Generator.normal, uniform, lognormal and permutation
-algorithms, so another numpy version giving other hashes is a
-reproducibility finding, not a flaky test. A change that moves the bytes on
-purpose re-records these hashes together with perfbench/references.json.
+The hashes were recorded with numpy 2.4.6 on CPython 3.11.7, and GOLDEN is
+keyed by the interpreter's minor version: the test runs only where hashes
+were recorded and skips elsewhere. From CPython 3.12 on, sum() over floats
+uses Neumaier compensated summation, and the report's entropy and
+message_spread_ratio cells and the aggregate's means are such sums written
+with full repr(), so their last bits differ between 3.11 and 3.12+. (Running
+the grid on 3.11 with sum() replaced by an emulation of the 3.12 algorithm
+changes about 3,100 of 20,470 sums and all six hashes.) To cover another
+interpreter, record its hashes under its own key; never compare one
+version's bytes against another's. The bytes also depend on numpy's
+Generator.normal, uniform, lognormal and permutation algorithms, so another
+numpy version giving other hashes is a reproducibility finding, not a flaky
+test. A change that moves the bytes on purpose re-records these hashes
+together with perfbench/references.json.
 """
 
 import hashlib
+import sys
 
 import pytest
 
 from gossipsim.experiment import ExperimentConfig, run_experiment
 from gossipsim.graphs import gen_scale_free, save_graph
 
+EDGE_MODES = ("normal", "uniform", "unweighted")
+
+# (python major, minor) -> edge mode -> (report sha256, aggregate sha256)
 GOLDEN = {
-    "normal": ("612f4dcf189e4df96af45b4685bb40bc7616c1dada1b5b4a77c036b30b7d1eda",
-               "7fbc8dabe0ba28915188edb326bd35152c9c47a323d2149dbeb78b2349c9a2a3"),
-    "uniform": ("fb95292f7ea8d1d20fd2a6c51c34cc466fe4d7fc633f67e38b06ba4364fde05e",
-                "99552ebb80948a87ed67fe9ebc8ba99d3bf69497643f998bcae723add42f16d3"),
-    "unweighted": ("2c27b50aa8e70f6e376b68e9b9a3fbe09533d8e86ffab6214325a5f3259ae21f",
-                   "8e1a4c28ad124d705ef979ea167764286d485de5132ad7a2bd82571898a9687a"),
+    (3, 11): {
+        "normal": ("612f4dcf189e4df96af45b4685bb40bc7616c1dada1b5b4a77c036b30b7d1eda",
+                   "7fbc8dabe0ba28915188edb326bd35152c9c47a323d2149dbeb78b2349c9a2a3"),
+        "uniform": ("fb95292f7ea8d1d20fd2a6c51c34cc466fe4d7fc633f67e38b06ba4364fde05e",
+                    "99552ebb80948a87ed67fe9ebc8ba99d3bf69497643f998bcae723add42f16d3"),
+        "unweighted": ("2c27b50aa8e70f6e376b68e9b9a3fbe09533d8e86ffab6214325a5f3259ae21f",
+                       "8e1a4c28ad124d705ef979ea167764286d485de5132ad7a2bd82571898a9687a"),
+    },
 }
+RUNNING = sys.version_info[:2]
 
 
 def _sha256(path):
@@ -36,7 +52,9 @@ def _sha256(path):
         return hashlib.sha256(fh.read()).hexdigest()
 
 
-@pytest.mark.parametrize("edge_mode", sorted(GOLDEN))
+@pytest.mark.skipif(RUNNING not in GOLDEN,
+                    reason="no golden hashes recorded for Python %d.%d" % RUNNING)
+@pytest.mark.parametrize("edge_mode", EDGE_MODES)
 def test_report_bytes_match_golden(tmp_path, edge_mode):
     graph_file = tmp_path / "net.txt"
     save_graph(gen_scale_free(120, 2, seed=11), graph_file)
@@ -59,4 +77,4 @@ def test_report_bytes_match_golden(tmp_path, edge_mode):
     )
     rows, report, aggregate = run_experiment(cfg, out_dir=str(tmp_path))
     assert len(rows) == 1728
-    assert (_sha256(report), _sha256(aggregate)) == GOLDEN[edge_mode]
+    assert (_sha256(report), _sha256(aggregate)) == GOLDEN[RUNNING][edge_mode]
