@@ -3,9 +3,10 @@
 Events are deliveries (deliver_at, from_node, to_node) tagged with a protocol
 phase. A binary heap pops them in (deliver_at, insertion order) order, which
 makes runs with equal timestamps deterministic. The engine records each node's
-first receipt, hands every delivery at an adversarial node to the adversary
-(which may censor it), and otherwise lets the active protocol enqueue
-successor events.
+first receipt and hands every delivery at an adversarial node to the adversary
+(which may censor it). It hands every other broadcast delivery to the
+protocol's fluff and every stem or circuit delivery to its on_hop, which
+enqueue the successor events: a protocol implements only its anonymity phase.
 
 The fluff phase is label-setting, as in Dijkstra's algorithm: a broadcast
 delivery to an honest node is queued only if it is earlier than every
@@ -81,7 +82,7 @@ class SimMessage:
         self.events = None
         self.seq = 0
 
-    def push(self, deliver_at, from_node, to_node, phase, hop=0):
+    def push(self, deliver_at, from_node, to_node, phase, hop):
         heapq.heappush(self.queue, (deliver_at, self.seq, from_node, to_node, phase, hop))
         self.seq += 1
 
@@ -113,17 +114,19 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
 
     Every popped delivery records a first receipt if it is the node's first.
     Deliveries at adversarial nodes are logged by the adversary, duplicates
-    included; if it censors, the protocol callback is suppressed and the
-    message simply stops there. A broadcast duplicate to an honest node that
-    cannot improve its arrival is never queued (see the module docstring), so
-    keep_events lists the popped events, not every send.
+    included; if it censors, the message simply stops there. Otherwise a
+    broadcast delivery goes to protocol.fluff(msg, t, to, frm) and a stem or
+    circuit delivery to protocol.on_hop(msg, t, to, hop). A broadcast
+    duplicate to an honest node that cannot improve its arrival is never
+    queued (see the module docstring), so keep_events lists the popped
+    events, not every send.
     """
     if keep_events:
         msg.events = []
         trace = msg.events.append
     queue = msg.queue
     first_receipt = msg.first_receipt
-    on_receive = protocol.on_receive
+    fluff = protocol.fluff
     pop = heapq.heappop
     if adversary is not None:
         adv_nodes = adversary.nodes
@@ -142,7 +145,10 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
             first_receipt[to] = t
         if to in adv_nodes and observe(mid, to, frm, t, phase):
             continue
-        on_receive(msg, t, frm, to, phase, hop)
+        if phase == PHASE_BROADCAST:
+            fluff(msg, t, to, frm)
+        else:
+            protocol.on_hop(msg, t, to, hop)
     msg.spread_ratio = len(first_receipt) / protocol.graph.n
     return msg
 

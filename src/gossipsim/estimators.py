@@ -64,11 +64,14 @@ def refine_dandelion(v, anonymity, p, exclude=_EMPTY, stem_cap=40):
     v is the base estimator's node (presumed first broadcaster or stem
     contact). A node u whose stem path reaches v in k hops would have produced
     this picture with probability proportional to (1-p)^k, the chance of k
-    consecutive "keep relaying" coins; with two stored relays each hop is
-    additionally a 1/2 relay pick. Weights over all paths of length <= stem_cap
-    are summed, v itself counts as k = 0, and the result is normalized over
-    non-adversarial candidates. Returns {node: probability} over the nodes of
-    positive mass, in node order, or None when every candidate is excluded.
+    consecutive "keep relaying" coins, times the chance of the k relay picks:
+    each hop takes s0[u] or s1[u] with 1/2 each. A one-relay node stores its
+    relay in both, and for it (0.5 * q) * (x + x) rounds exactly as q * x, so
+    single-relay weights equal the plain (1-p)^k recursion bit for bit.
+    Weights over all paths of length <= stem_cap are summed, v itself counts
+    as k = 0, and the result is normalized over non-adversarial candidates.
+    Returns {node: probability} over the nodes of positive mass, in node
+    order, or None when every candidate is excluded.
     """
     if not (0.0 < p <= 1.0):
         raise ParameterError(f"broadcast probability must lie in (0, 1], got {p}")
@@ -77,17 +80,12 @@ def refine_dandelion(v, anonymity, p, exclude=_EMPTY, stem_cap=40):
     n = anonymity.n
     s0 = anonymity.s0
     s1 = anonymity.s1
-    two_relay = anonymity.kind == "dandelion_pp"
 
     level = np.zeros(n)
     level[v] = 1.0
     total = level.copy()
     for _ in range(stem_cap):
-        if two_relay:
-            # degree-1 fallback nodes store s1 == s0, so the average is exact
-            level = (0.5 * (1.0 - p)) * (level[s0] + level[s1])
-        else:
-            level = (1.0 - p) * level[s0]
+        level = (0.5 * (1.0 - p)) * (level[s0] + level[s1])
         if not level.any():
             break
         total += level

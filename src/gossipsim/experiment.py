@@ -170,13 +170,13 @@ class ExperimentConfig:
         if len(set(self.seeds)) < len(self.seeds):
             raise ConfigError(f"seeds: repeated seed in {list(self.seeds)}")
         # estimation needs someone to observe
-        if self.estimators and self.adversary_ratios is not None and generated:
+        if self.adversary_ratios is not None and generated:
             for f in self.adversary_ratios:
                 if adversary_count(f, self.n) < 1:
                     raise ConfigError(
                         f"adversary.ratio: floor({f} * {self.n}) is an empty adversary "
                         f"set but estimation metrics were requested")
-        if self.estimators and self.adversary_nodes is not None and not self.adversary_nodes:
+        if self.adversary_nodes is not None and not self.adversary_nodes:
             raise ConfigError("adversary.nodes: empty adversary set but estimation "
                               "metrics were requested")
         if self.adversary_nodes is not None and generated:

@@ -1,8 +1,11 @@
 """Routing protocols: plain broadcast, stem-phase coin-flip routing with one or
 two pinned relays per node, and overlay circuit routing with a broadcast exit.
 
-All protocols share the broadcast (fluff) machinery: a node forwards a message
-in broadcast phase at most once, either to all neighbors except the sender
+Every protocol ends in the broadcast (fluff) phase, BroadcastProtocol.fluff,
+which the engine calls for each broadcast delivery; a routing protocol
+subclasses BroadcastProtocol and implements only its anonymity phase
+(on_spawn and on_hop). A node forwards a message in broadcast phase at most
+once, either to all neighbors except the sender
 (mode 'all') or to ceil(sqrt(d)) neighbors sampled without replacement (mode
 'sqrt', excluding the sender whenever the degree allows it). The sqrt sample
 is exactly random.Random.sample on the sender-free neighbor list, drawn inline
@@ -72,45 +75,42 @@ def check_onion_path_len(path_len, n):
 
 
 class AnonymityGraph:
-    """Pinned stem successors for one epoch.
+    """Pinned stem relays for one epoch: node u relays through s0[u] or s1[u].
 
-    Every node stores one relay (single-relay routing) or two distinct relays
-    (two-relay routing; degree-1 nodes fall back to their only neighbor). The
-    per-message relay choice is a pure function of (epoch_seed, message_id,
-    node), so a message always takes the same relay at a given node.
+    Single-relay routing stores a node's one relay in both arrays, as does
+    two-relay routing for a degree-1 node. The per-message choice between two
+    distinct relays is a pure function of (epoch_seed, message_id, node), so
+    a message always takes the same relay at a given node.
     """
 
-    def __init__(self, successors, epoch_seed, kind):
-        if kind not in STEM_KINDS:
-            raise ParameterError(f"not a stem protocol kind: {kind!r}")
-        self.kind = kind
+    def __init__(self, successors, epoch_seed):
         self.epoch_seed = int(epoch_seed)
-        self._succ = [list(s) for s in successors]
         n = len(successors)
         s0 = np.empty(n, dtype=np.intp)
         s1 = np.empty(n, dtype=np.intp)
-        for u, s in enumerate(self._succ):
+        for u, s in enumerate(successors):
             if not (1 <= len(s) <= 2):
                 raise ParameterError(f"node {u} must store 1 or 2 relays, got {len(s)}")
+            for r in s:
+                if not (0 <= r < n):
+                    raise ParameterError(f"node {u} relays to {r}, out of range for n={n}")
             s0[u] = s[0]
-            s1[u] = s[-1]  # equals s[0] for single-relay nodes
+            s1[u] = s[-1]
         self.s0 = s0
         self.s1 = s1
 
     @property
     def n(self):
-        return len(self._succ)
-
-    def successors(self, node):
-        return list(self._succ[node])
+        return len(self.s0)
 
     def next_relay(self, node, message_id):
         """Relay this node forwards the given message to."""
-        s = self._succ[node]
-        if len(s) == 1:
-            return s[0]
+        r0 = int(self.s0[node])
+        r1 = int(self.s1[node])
+        if r0 == r1:
+            return r0
         bit = _mix64(self.epoch_seed ^ (message_id * 0x9E3779B97F4A7C15) ^ node) & 1
-        return s[bit]
+        return r1 if bit else r0
 
 
 def build_anonymity_graph(graph, kind, seed):
@@ -128,7 +128,7 @@ def build_anonymity_graph(graph, kind, seed):
         else:
             pair = rng.sample(nbrs, 2)
             successors.append([pair[0][0], pair[1][0]])
-    return AnonymityGraph(successors, epoch_seed=derive_seed(seed, 5), kind=kind)
+    return AnonymityGraph(successors, epoch_seed=derive_seed(seed, 5))
 
 
 def _sample_setsize(k):
@@ -140,8 +140,15 @@ def _sample_setsize(k):
     return setsize
 
 
-class _BroadcastBase:
-    """Shared fluff fanout. Subclasses set the spawn and receive logic."""
+class BroadcastProtocol:
+    """Flood from the originator; nothing is hidden.
+
+    Every protocol ends in this flood: the engine hands each broadcast
+    delivery to fluff. A routing protocol subclasses this one and adds its
+    anonymity phase: on_spawn starts the message, on_hop(msg, t, node, hop)
+    handles each stem or circuit delivery, and either calls
+    self.fluff(msg, t, node, -1) to start the flood at node.
+    """
 
     def __init__(self, graph, config):
         self.graph = graph
@@ -151,7 +158,10 @@ class _BroadcastBase:
         # Random.sample's branch switch, indexed by fanout
         self._setsize = [_sample_setsize(c) for c in range(max(self._fan, default=0) + 1)]
 
-    def _broadcast(self, msg, t, node, sender):
+    def on_spawn(self, msg):
+        self.fluff(msg, 0.0, msg.originator, -1)
+
+    def fluff(self, msg, t, node, sender):
         """Fan the message out of `node`; no-op if it already forwarded.
 
         sender < 0 marks a fresh source (spawn, stem or circuit exit): nothing
@@ -223,17 +233,7 @@ class _BroadcastBase:
         msg.seq = seq
 
 
-class BroadcastProtocol(_BroadcastBase):
-    """Flood from the originator; nothing is hidden."""
-
-    def on_spawn(self, msg):
-        self._broadcast(msg, 0.0, msg.originator, -1)
-
-    def on_receive(self, msg, t, frm, to, phase, hop):
-        self._broadcast(msg, t, to, frm)
-
-
-class DandelionProtocol(_BroadcastBase):
+class DandelionProtocol(BroadcastProtocol):
     """Stem routing over pinned relays, then flood.
 
     Every holder of a stem-phase message (including the originator at spawn)
@@ -251,26 +251,18 @@ class DandelionProtocol(_BroadcastBase):
         self.p = config.broadcast_probability
         self.stem_cap = config.stem_cap
 
-    def _stem_forward(self, msg, t, node, hop):
-        nxt = self.anonymity.next_relay(node, msg.mid)
-        msg.push(t + self.graph.latency(node, nxt), node, nxt, PHASE_STEM, hop)
-
     def on_spawn(self, msg):
-        if msg.rng.random() < self.p:
-            self._broadcast(msg, 0.0, msg.originator, -1)
+        self.on_hop(msg, 0.0, msg.originator, 0)
+
+    def on_hop(self, msg, t, node, hop):
+        if msg.rng.random() < self.p or hop >= self.stem_cap:
+            self.fluff(msg, t, node, -1)
         else:
-            self._stem_forward(msg, 0.0, msg.originator, 1)
-
-    def on_receive(self, msg, t, frm, to, phase, hop):
-        if phase == PHASE_BROADCAST:
-            self._broadcast(msg, t, to, frm)
-        elif msg.rng.random() < self.p or hop >= self.stem_cap:
-            self._broadcast(msg, t, to, -1)
-        else:
-            self._stem_forward(msg, t, to, hop + 1)
+            nxt = self.anonymity.next_relay(node, msg.mid)
+            msg.push(t + self.graph.latency(node, nxt), node, nxt, PHASE_STEM, hop + 1)
 
 
-class OnionProtocol(_BroadcastBase):
+class OnionProtocol(BroadcastProtocol):
     """Route through a fixed-length circuit of relays, then flood at the exit.
 
     Relays are drawn uniformly at spawn (distinct, excluding the originator).
@@ -278,7 +270,8 @@ class OnionProtocol(_BroadcastBase):
     between the two relays, searched afresh per hop by ShortestPaths: relays
     are uniform, so a cell almost never asks for the same pair twice.
     Circuit deliveries carry no sender information an observer could link
-    (handled by the adversary via the phase tag).
+    (handled by the adversary via the phase tag). hop is the circuit position
+    of the relay a delivery reaches; the originator sits at -1.
     """
 
     def __init__(self, graph, config):
@@ -291,18 +284,15 @@ class OnionProtocol(_BroadcastBase):
         o = msg.originator
         # sample from range(n-1) and shift to skip the originator
         picks = msg.rng.sample(range(self.graph.n - 1), self.path_len)
-        circuit = [i + 1 if i >= o else i for i in picks]
-        msg.circuit = circuit
-        msg.push(self._paths.latency(o, circuit[0]), o, circuit[0], PHASE_CIRCUIT, 0)
+        msg.circuit = [i + 1 if i >= o else i for i in picks]
+        self.on_hop(msg, 0.0, o, -1)
 
-    def on_receive(self, msg, t, frm, to, phase, hop):
-        if phase == PHASE_BROADCAST:
-            self._broadcast(msg, t, to, frm)
-        elif hop + 1 < len(msg.circuit):
+    def on_hop(self, msg, t, node, hop):
+        if hop + 1 < len(msg.circuit):
             nxt = msg.circuit[hop + 1]
-            msg.push(t + self._paths.latency(to, nxt), to, nxt, PHASE_CIRCUIT, hop + 1)
+            msg.push(t + self._paths.latency(node, nxt), node, nxt, PHASE_CIRCUIT, hop + 1)
         else:
-            self._broadcast(msg, t, to, -1)
+            self.fluff(msg, t, node, -1)
 
 
 def make_protocol(graph, config, seed=0):

@@ -411,7 +411,7 @@ def _independent_probs(graph, proto, adv, mid, estimator, aware):
                 break
             nxt = {}
             for node, m in mass.items():
-                succ = anon.successors(node)
+                succ = sorted({int(anon.s0[node]), int(anon.s1[node])})
                 share = m / len(succ)
                 for s in succ:
                     nxt[s] = nxt.get(s, 0.0) + share

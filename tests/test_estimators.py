@@ -1,7 +1,10 @@
 """Tests for originator estimators: point-mass picks, the anonymity-graph
 refinement and its worked numeric cases."""
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gossipsim.engine import PHASE_BROADCAST, PHASE_CIRCUIT
 from gossipsim.errors import ParameterError
@@ -10,6 +13,32 @@ from gossipsim.estimators import (estimate_first_reach, estimate_first_sent,
 from gossipsim.evaluator import _entropy_of
 from gossipsim.graphs import NetworkGraph
 from gossipsim.protocols import AnonymityGraph
+
+
+def single_relay_refine(v, s0, p, exclude, stem_cap):
+    """refine_dandelion's weights as the plain (1-p)^k recursion over one relay."""
+    level = np.zeros(len(s0))
+    level[v] = 1.0
+    total = level.copy()
+    for _ in range(stem_cap):
+        level = (1.0 - p) * level[s0]
+        if not level.any():
+            break
+        total += level
+    total[sorted(exclude)] = 0.0
+    mass = total.sum()
+    if mass <= 0.0:
+        return None
+    return {int(u): float(total[u] / mass) for u in np.nonzero(total)[0]}
+
+
+@st.composite
+def one_relay_overlays(draw):
+    n = draw(st.integers(1, 30))
+    relays = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    v = draw(st.integers(0, n - 1))
+    exclude = draw(st.sets(st.integers(0, n - 1)))
+    return relays, v, exclude
 
 
 def obs(sender, arrival, observer=0, phase=PHASE_BROADCAST):
@@ -78,11 +107,10 @@ class TestFirstSent:
 class TestRefine:
     def chain(self):
         # stem successors 0 -> 1 -> 2 -> 3 -> 4 -> 5 -> 0
-        return AnonymityGraph([[1], [2], [3], [4], [5], [0]],
-                              epoch_seed=0, kind="dandelion")
+        return AnonymityGraph([[1], [2], [3], [4], [5], [0]], epoch_seed=0)
 
     def test_worked_three_node_cycle(self):
-        anon = AnonymityGraph([[1], [2], [0]], epoch_seed=0, kind="dandelion")
+        anon = AnonymityGraph([[1], [2], [0]], epoch_seed=0)
         d = refine_dandelion(2, anon, p=0.5, stem_cap=2)
         # weights 1, 0.5, 0.25 over nodes 2, 1, 0 -> normalize by 1.75
         assert d[2] == pytest.approx(4.0 / 7.0)
@@ -108,7 +136,7 @@ class TestRefine:
         assert d[1] == pytest.approx(q ** 3 / z)
 
     def test_no_predecessor_point_mass(self):
-        anon = AnonymityGraph([[1], [2], [1]], epoch_seed=0, kind="dandelion")
+        anon = AnonymityGraph([[1], [2], [1]], epoch_seed=0)
         d = refine_dandelion(0, anon, p=0.5, stem_cap=10)
         assert d == {0: 1.0}
         assert _entropy_of(d, 3) == 0.0
@@ -120,8 +148,7 @@ class TestRefine:
     def test_two_relay_averaging(self):
         # nodes 1 and 2 both relay to 0; node 1 stores {0, 2}, so only half
         # of its coin mass goes through 0
-        anon = AnonymityGraph([[1], [0, 2], [0]], epoch_seed=0,
-                              kind="dandelion_pp")
+        anon = AnonymityGraph([[1], [0, 2], [0]], epoch_seed=0)
         d = refine_dandelion(0, anon, p=0.5, stem_cap=1)
         # level1[1] = 0.5 * 0.5 * (level[0] + level[2]) = 0.25
         # level1[2] = 0.5 * 0.5 * (level[0] + level[0]) = 0.5
@@ -136,8 +163,20 @@ class TestRefine:
             assert _entropy_of(d, 6) >= _entropy_of({4: 1.0}, 6)
 
     def test_all_candidates_excluded(self):
-        anon = AnonymityGraph([[1], [2], [1]], epoch_seed=0, kind="dandelion")
+        anon = AnonymityGraph([[1], [2], [1]], epoch_seed=0)
         assert refine_dandelion(0, anon, p=0.5, stem_cap=10, exclude={0}) is None
+
+    @given(overlay=one_relay_overlays(),
+           p=st.sampled_from([1 / 8, 1 / 4, 1 / 2, 0.9, 1.0]),
+           stem_cap=st.integers(0, 40))
+    def test_one_relay_equals_plain_recursion(self, overlay, p, stem_cap):
+        # one formula for every overlay: for a one-relay node (0.5 * q) * (x + x)
+        # rounds exactly as q * x, so the weights match bit for bit
+        relays, v, exclude = overlay
+        anon = AnonymityGraph([[r] for r in relays], epoch_seed=0)
+        expected = single_relay_refine(v, np.array(relays, dtype=np.intp), p,
+                                       exclude, stem_cap)
+        assert refine_dandelion(v, anon, p, exclude=exclude, stem_cap=stem_cap) == expected
 
     def test_probability_validated(self):
         with pytest.raises(ParameterError):

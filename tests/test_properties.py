@@ -80,16 +80,16 @@ def reference_run(protocol, adversary, originator, mid, rng):
         if protocol.mode_all:
             for w, lat in adj:
                 if w != sender:
-                    msg.push(t + lat, node, w, PHASE_BROADCAST)
+                    msg.push(t + lat, node, w, PHASE_BROADCAST, 0)
             return
         c = protocol._fan[node]
         pool = adj
         if 0 <= sender and len(adj) > c:
             pool = [p for p in adj if p[0] != sender]
         for w, lat in msg.rng.sample(pool, c):
-            msg.push(t + lat, node, w, PHASE_BROADCAST)
+            msg.push(t + lat, node, w, PHASE_BROADCAST, 0)
 
-    protocol._broadcast = broadcast  # the instance attribute shadows the method
+    protocol.fluff = broadcast  # the instance attribute shadows the method
     msg = spawn_message(originator, protocol, mid=mid, rng=rng)
     watched = adversary.nodes if adversary is not None else frozenset()
     while msg.queue:
@@ -98,7 +98,10 @@ def reference_run(protocol, adversary, originator, mid, rng):
             msg.first_receipt[to] = t
         if to in watched and adversary.observe(mid, to, frm, t, phase):
             continue
-        protocol.on_receive(msg, t, frm, to, phase, hop)
+        if phase == PHASE_BROADCAST:
+            protocol.fluff(msg, t, to, frm)
+        else:
+            protocol.on_hop(msg, t, to, hop)
     msg.spread_ratio = len(msg.first_receipt) / protocol.graph.n
     return msg
 

@@ -13,14 +13,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.engine import (PHASE_BROADCAST, PHASE_CIRCUIT, PHASE_STEM,
-                              SimMessage, derive_seed, run_message,
+                              SimMessage, Simulation, derive_seed, run_message,
                               spawn_message)
 from gossipsim.errors import ParameterError
+from gossipsim.evaluator import evaluate
 from gossipsim.graphs import (NetworkGraph, WeightGeneratorSpec,
                               assign_weights, gen_random_regular)
-from gossipsim.protocols import (AnonymityGraph, ProtocolConfig,
-                                 build_anonymity_graph, make_protocol)
+from gossipsim.protocols import (AnonymityGraph, BroadcastProtocol,
+                                 ProtocolConfig, build_anonymity_graph,
+                                 make_protocol)
+
+
+def relays(anon, u):
+    """The two relay slots of node u; a one-relay node fills both."""
+    return [int(anon.s0[u]), int(anon.s1[u])]
 
 
 def star(leaves=9):
@@ -55,7 +63,7 @@ class TestFanout:
         graph = star(3)  # hub 0 has degree 3
         proto = make_protocol(graph, ProtocolConfig(kind="broadcast"))
         msg = SimMessage(0, 1, rng=random.Random(0))
-        proto.on_receive(msg, 5.0, 1, 0, PHASE_BROADCAST, 0)
+        proto.fluff(msg, 5.0, 0, 1)
         targets = sorted(e[3] for e in msg.queue)
         assert targets == [2, 3]
 
@@ -71,7 +79,7 @@ class TestFanout:
         proto = make_protocol(graph, cfg)
         for trial in range(30):
             msg = SimMessage(trial, 1, rng=random.Random(trial))
-            proto.on_receive(msg, 0.0, 1, 0, PHASE_BROADCAST, 0)
+            proto.fluff(msg, 0.0, 0, 1)
             targets = [e[3] for e in msg.queue]
             assert len(targets) == 3
             assert len(set(targets)) == 3
@@ -83,16 +91,16 @@ class TestFanout:
         cfg = ProtocolConfig(kind="broadcast", broadcast_mode="sqrt")
         proto = make_protocol(graph, cfg)
         msg = SimMessage(0, 1, rng=random.Random(0))
-        proto.on_receive(msg, 0.0, 1, 0, PHASE_BROADCAST, 0)
+        proto.fluff(msg, 0.0, 0, 1)
         assert sorted(e[3] for e in msg.queue) == [1, 2]
 
     def test_node_forwards_only_once(self):
         graph = star(3)
         proto = make_protocol(graph, ProtocolConfig(kind="broadcast"))
         msg = SimMessage(0, 1, rng=random.Random(0))
-        proto.on_receive(msg, 0.0, 1, 0, PHASE_BROADCAST, 0)
+        proto.fluff(msg, 0.0, 0, 1)
         before = len(msg.queue)
-        proto.on_receive(msg, 1.0, 2, 0, PHASE_BROADCAST, 0)
+        proto.fluff(msg, 1.0, 0, 2)
         assert len(msg.queue) == before
 
     def test_all_mode_full_coverage(self):
@@ -129,7 +137,7 @@ class TestSqrtSampler:
         if with_sender and d > c:
             pool = [p for p in pool if p[0] != sender]
         msg = SimMessage(0, 0, rng=random.Random(seed))
-        proto._broadcast(msg, 2.5, 0, sender)
+        proto.fluff(msg, 2.5, 0, sender)
         ref = random.Random(seed)
         expected = [(w, 2.5 + lat) for w, lat in ref.sample(pool, c)]
         pushed = sorted(msg.queue, key=lambda e: e[1])
@@ -233,17 +241,16 @@ class TestAnonymityGraph:
         graph = NetworkGraph(3, [(0, 1), (1, 2), (0, 2)])
         anon = build_anonymity_graph(graph, "dandelion", seed=0)
         for u in range(3):
-            succ = anon.successors(u)
-            assert len(succ) == 1
-            assert succ[0] in graph.neighbors(u)
-            assert succ[0] != u
+            r0, r1 = relays(anon, u)
+            assert r0 == r1  # one relay, stored in both arrays
+            assert r0 in graph.neighbors(u)
+            assert r0 != u
 
     def test_two_distinct_relays(self):
         graph = gen_random_regular(10, 3, seed=1)
         anon = build_anonymity_graph(graph, "dandelion_pp", seed=0)
         for u in range(10):
-            succ = anon.successors(u)
-            assert len(succ) == 2
+            succ = relays(anon, u)
             assert succ[0] != succ[1]
             assert set(succ) <= set(graph.neighbors(u))
 
@@ -251,7 +258,7 @@ class TestAnonymityGraph:
         graph = star(4)
         anon = build_anonymity_graph(graph, "dandelion_pp", seed=0)
         for leaf in range(1, 5):
-            assert anon.successors(leaf) == [0]
+            assert relays(anon, leaf) == [0, 0]
 
     def test_next_relay_stable_per_message(self):
         graph = gen_random_regular(10, 3, seed=1)
@@ -262,20 +269,20 @@ class TestAnonymityGraph:
                 r = a.next_relay(u, mid)
                 assert r == a.next_relay(u, mid)  # replay
                 assert r == b.next_relay(u, mid)  # same epoch seed
-                assert r in a.successors(u)
+                assert r in relays(a, u)
 
     def test_next_relay_uses_both_relays(self):
         graph = gen_random_regular(10, 3, seed=1)
         anon = build_anonymity_graph(graph, "dandelion_pp", seed=0)
         picks = {anon.next_relay(0, mid) for mid in range(50)}
-        assert picks == set(anon.successors(0))
+        assert picks == set(relays(anon, 0))
 
     def test_deterministic_in_seed(self):
         graph = gen_random_regular(20, 4, seed=2)
         a = build_anonymity_graph(graph, "dandelion", seed=9)
         b = build_anonymity_graph(graph, "dandelion", seed=9)
         c = build_anonymity_graph(graph, "dandelion", seed=10)
-        succ = lambda g: [g.successors(u) for u in range(20)]
+        succ = lambda g: [relays(g, u) for u in range(20)]
         assert succ(a) == succ(b)
         assert succ(a) != succ(c)
 
@@ -283,8 +290,57 @@ class TestAnonymityGraph:
         graph = star(3)
         with pytest.raises(ParameterError):
             build_anonymity_graph(graph, "broadcast", seed=0)
+
+    @pytest.mark.parametrize("successors", [[[5], [0]], [[1], [0, 2]], [[-1], [0]],
+                                            [[1, 5], [0]]])
+    def test_relays_out_of_range(self, successors):
+        with pytest.raises(ParameterError, match="out of range"):
+            AnonymityGraph(successors, epoch_seed=0)
+
+    def test_relay_count(self):
         with pytest.raises(ParameterError):
-            AnonymityGraph([[1], [0]], epoch_seed=0, kind="onion")
+            AnonymityGraph([[], [0]], epoch_seed=0)
+        with pytest.raises(ParameterError):
+            AnonymityGraph([[1, 1, 1], [0]], epoch_seed=0)
+
+
+class StemToLowestNeighbor(BroadcastProtocol):
+    """A protocol written against the extension contract: one stem hop to the
+    originator's lowest neighbor, which then starts the flood."""
+
+    def __init__(self, graph, config):
+        super().__init__(graph, config)
+        self.hops = []
+
+    def on_spawn(self, msg):
+        o = msg.originator
+        w, lat = self.graph.adj[o][0]
+        msg.push(lat, o, w, PHASE_STEM, 1)
+
+    def on_hop(self, msg, t, node, hop):
+        self.hops.append((msg.mid, node, hop))
+        self.fluff(msg, t, node, -1)
+
+
+class TestExtensionContract:
+    def test_subclass_implements_only_its_anonymity_phase(self):
+        # wheel: hub 0 is every rim node's lowest neighbor
+        rim = range(1, 9)
+        graph = NetworkGraph(9, [(0, u) for u in rim] + [(u, u % 8 + 1) for u in rim])
+        proto = StemToLowestNeighbor(graph, ProtocolConfig(broadcast_mode="all"))
+        adversary = Adversary(graph, AdversaryConfig(nodes=(0,)))
+        run = Simulation(proto, adversary, num_messages=5, seed=3,
+                         keep_messages=True).run()
+        assert run.spread_ratios == [1.0] * 5
+        assert proto.hops == [(mid, 0, 1) for mid in range(5)]
+        for mid, o in enumerate(run.originators):
+            assert adversary.observations(mid)[0] == (1.0, o, 0, PHASE_STEM)
+            # the flood starts fresh at the hub, so it also sends back to o
+            assert (2.0, 0, o, PHASE_BROADCAST) in run.messages[mid].events
+        report = evaluate(run, "first_reach")
+        assert report.message_spread_ratio == 1.0
+        assert report.num_unobserved == 0
+        assert report.hit_ratio == 1.0  # the stem delivery names every originator
 
 
 class TestCircuitRouting:
