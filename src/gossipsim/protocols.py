@@ -5,11 +5,11 @@ Every protocol ends in the broadcast (fluff) phase, BroadcastProtocol.fluff,
 which the engine calls for each broadcast delivery; a routing protocol
 subclasses BroadcastProtocol and implements only its anonymity phase
 (on_spawn and on_hop). A node forwards a message in broadcast phase at most
-once, either to all neighbors except the sender
-(mode 'all') or to ceil(sqrt(d)) neighbors sampled without replacement (mode
-'sqrt', excluding the sender whenever the degree allows it). The sqrt sample
-is exactly random.Random.sample on the sender-free neighbor list, drawn inline
-from the message's rng.
+once, either to all neighbors except the sender (mode 'all') or to
+ceil(sqrt(d)) neighbors sampled without replacement (mode 'sqrt', excluding
+the sender whenever the degree allows it). The sqrt sample is exactly
+random.Random.sample on the sender-free neighbor list, drawn inline from the
+message's rng.
 """
 
 import math
@@ -145,9 +145,9 @@ class BroadcastProtocol:
 
     Every protocol ends in this flood: the engine hands each broadcast
     delivery to fluff. A routing protocol subclasses this one and adds its
-    anonymity phase: on_spawn starts the message, on_hop(msg, t, node, hop)
-    handles each stem or circuit delivery, and either calls
-    self.fluff(msg, t, node, -1) to start the flood at node.
+    anonymity phase: on_spawn starts the message, and on_hop(msg, t, node,
+    hop) handles each stem or circuit delivery, pushing the next hop or
+    calling self.fluff(msg, t, node, -1) to start the flood at node.
     """
 
     def __init__(self, graph, config):
