@@ -1,13 +1,14 @@
 """Adversarial observers: placement, observation logs, optional censorship.
 
-Adversaries control a fixed set of nodes. They never originate messages. A
-passive adversary only logs deliveries at its nodes; an active one logs and
-then censors (the protocol callback is suppressed by the engine, so the
-message silently stops at that node). Each log entry is the engine's own
-delivery tuple (arrival, sender, observer, phase), the layout of a kept
-message's events. Deanonymization itself, including which phases link a
-sender to the message, lives in the estimators module; this one only
-collects the raw material.
+Adversaries control a fixed set of nodes. They never originate messages. The
+engine logs every delivery at those nodes; under an active adversary it then
+censors the delivery (the protocol callback is skipped, so the message
+silently stops at that node). Each log entry is the engine's own delivery
+tuple (arrival, sender, observer, phase), the layout of a kept message's
+events. A run keeps the log of each of its messages, so one adversary can
+watch any number of runs. Deanonymization itself, including which phases
+link a sender to the message, lives in the estimators module; this one
+only collects the raw material.
 """
 
 from dataclasses import dataclass
@@ -78,7 +79,7 @@ def place_adversaries(graph, config, seed=0):
 
 
 class Adversary:
-    """Holds the adversarial nodes and the per-message observation logs.
+    """Holds the adversarial nodes and the latest observation log per message id.
 
     graph is the network the nodes were placed on; a simulation accepts the
     adversary only on that same graph object.
@@ -91,17 +92,15 @@ class Adversary:
         self.nodes = frozenset(place_adversaries(graph, config, seed))
         self._logs = {}
 
-    def observe(self, message_id, observer, sender, arrival, phase):
-        """Log one delivery; returns True when the message must be censored."""
-        log = self._logs.get(message_id)
-        if log is None:
-            log = self._logs[message_id] = []
-        log.append((arrival, sender, observer, phase))
-        return self.active
+    def open_log(self, message_id):
+        """A fresh empty log for one message's run, replacing any earlier log
+        of that id; the engine appends each delivery at an adversarial node."""
+        log = self._logs[message_id] = []
+        return log
 
     def observations(self, message_id):
-        """All (arrival, sender, observer, phase) deliveries logged for one
-        message, in delivery order."""
+        """The (arrival, sender, observer, phase) deliveries of the latest run
+        of one message, in delivery order."""
         return self._logs.get(message_id, [])
 
     def __repr__(self):

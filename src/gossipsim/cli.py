@@ -5,7 +5,8 @@ import sys
 
 from .errors import (ConfigError, FormatError, GenerationError, ParameterError,
                      SchemaError)
-from .experiment import FIGURE_PRESETS, emit_plot_data, load_config, run_experiment
+from .experiment import (FIGURE_PRESETS, _build_graph, emit_plot_data, load_config,
+                         run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,10 +59,13 @@ def _cmd_plot_data(args):
 
 def _cmd_validate(args):
     cfg = load_config(args.config)
+    # build what run builds first, so an unpairable shape or a bad file fails here
+    for topology in cfg.topology_kinds:
+        _build_graph(cfg, topology, cfg.seeds[0])
     cells = cfg.cells()
     expected = len(cells) * len(cfg.seeds) * len(cfg.estimators)
     print(f"config ok: {args.config}")
-    print(f"topologies: {', '.join(cfg.topology_kinds)}")
+    print(f"topologies: {', '.join(cfg.topology_kinds)} (built at seed {cfg.seeds[0]})")
     print(f"cells: {len(cells)}")
     print(f"seeds: {len(cfg.seeds)}")
     print(f"estimators: {', '.join(cfg.estimators)}")

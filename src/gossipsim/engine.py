@@ -3,8 +3,8 @@
 Events are deliveries (deliver_at, from_node, to_node) tagged with a protocol
 phase. A binary heap pops them in (deliver_at, insertion order) order, which
 makes runs with equal timestamps deterministic. The engine records each node's
-first receipt and hands every delivery at an adversarial node to the adversary
-(which may censor it). It hands every other broadcast delivery to the
+first receipt and logs every delivery at an adversarial node (then censors it
+if the adversary is active). It hands every other broadcast delivery to the
 protocol's fluff and every stem or circuit delivery to its on_hop, which
 enqueue the successor events: a protocol implements only its anonymity phase.
 
@@ -113,8 +113,9 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     """Drain the message's event queue; returns the message with spread set.
 
     Every popped delivery records a first receipt if it is the node's first.
-    Deliveries at adversarial nodes are logged by the adversary, duplicates
-    included; if it censors, the message simply stops there. Otherwise a
+    Deliveries at adversarial nodes, duplicates included, go to the fresh log
+    adversary.open_log(msg.mid); if the adversary is active, the message
+    simply stops there. Otherwise a
     broadcast delivery goes to protocol.fluff(msg, t, to, frm) and a stem or
     circuit delivery to protocol.on_hop(msg, t, to, hop). A broadcast
     duplicate to an honest node that cannot improve its arrival is never
@@ -130,21 +131,22 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     pop = heapq.heappop
     if adversary is not None:
         adv_nodes = adversary.nodes
-        observe = adversary.observe
+        log = adversary.open_log(msg.mid).append
+        censor = adversary.active
     else:
         adv_nodes = _EMPTY
-        observe = None
     # set only now: spawn sends to each node at most once, so it sent no duplicate
     msg.watched = adv_nodes
-    mid = msg.mid
     while queue:
         t, _seq, frm, to, phase, hop = pop(queue)
         if keep_events:
             trace((t, frm, to, phase))
         if to not in first_receipt:
             first_receipt[to] = t
-        if to in adv_nodes and observe(mid, to, frm, t, phase):
-            continue
+        if to in adv_nodes:
+            log((t, frm, to, phase))
+            if censor:
+                continue
         if phase == PHASE_BROADCAST:
             fluff(msg, t, to, frm)
         else:
@@ -159,12 +161,14 @@ class SimulationRun:
 
     Message i has id i. protocol and adversary (or None) are the objects the
     run used, which the evaluator reads; they take no part in equality.
+    observations holds each message's observation log (empty without adversary).
     """
 
     protocol: object = field(compare=False, repr=False)
     adversary: object = field(compare=False, repr=False)
     originators: list = field(default_factory=list)
     spread_ratios: list = field(default_factory=list)
+    observations: list = field(default_factory=list)
     messages: list = field(default_factory=list)  # only if keep_messages
 
 
@@ -219,11 +223,6 @@ class Simulation:
         return self._honest[bisect_right(self._honest_cum, x)]
 
     def run(self):
-        # an adversary logs by message id, so a second run would merge into its logs
-        if self.adversary is not None and any(
-                self.adversary.observations(mid) for mid in range(self.num_messages)):
-            raise ParameterError("adversary already holds observations for these "
-                                 "message ids; build a fresh Adversary for each run")
         origin_rng = random.Random(derive_seed(self.seed, 6))
         result = SimulationRun(self.protocol, self.adversary)
         for mid in range(self.num_messages):
@@ -234,6 +233,8 @@ class Simulation:
                         keep_events=self.keep_messages)
             result.originators.append(originator)
             result.spread_ratios.append(msg.spread_ratio)
+            if self.adversary is not None:
+                result.observations.append(self.adversary.observations(mid))
             if self.keep_messages:
                 result.messages.append(msg)
         return result

@@ -116,10 +116,10 @@ def compute_report(dists, originators, spread_ratios, num_honest, estimator=""):
 def build_distributions(run, estimator):
     """Per-message candidate distributions for one estimator.
 
-    Reads the adversary, the protocol and its graph from the run. Applies the
-    anonymity-graph refinement when the protocol has a stem and the adversary
-    is protocol-aware. Returns a list aligned with the run's messages; None
-    marks messages with no usable observation.
+    Reads the observation logs, the adversary, the protocol and its graph
+    from the run. Applies the anonymity-graph refinement when the protocol
+    has a stem and the adversary is protocol-aware. Returns a list aligned
+    with the run's messages; None marks messages with no usable observation.
     """
     if estimator not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}")
@@ -130,8 +130,7 @@ def build_distributions(run, estimator):
     exclude = adversary.nodes
     refine = adversary.protocol_aware and getattr(protocol, "anonymity", None) is not None
     dists = []
-    for mid in range(len(run.originators)):
-        obs = adversary.observations(mid)
+    for obs in run.observations:
         if estimator == "first_reach":
             v = estimate_first_reach(obs, exclude=exclude)
         else:

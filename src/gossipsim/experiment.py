@@ -379,7 +379,7 @@ def run_cell(cfg, cell, seed, graph=None):
         active=cell.adversary_active,
         protocol_aware=cfg.protocol_aware)
     adversary = Adversary(graph, adv_cfg, seed)
-    if cfg.estimators and not adversary.nodes:
+    if not adversary.nodes:
         raise ConfigError(
             f"adversary.ratio: floor({cell.adversary_ratio} * {graph.n}) is an empty "
             f"adversary set but estimation metrics were requested")

@@ -321,16 +321,6 @@ def _shuffle(rng, x):
         x[i], x[j] = x[j], x[i]
 
 
-def _choice(rng, seq):
-    """rng.choice(seq), with the getrandbits draws of CPython's Random.choice."""
-    n = len(seq)
-    k = n.bit_length()
-    r = rng.getrandbits(k)
-    while r >= n:
-        r = rng.getrandbits(k)
-    return seq[r]
-
-
 def _regular_edges(n, k, rng):
     """Edge set of networkx.random_regular_graph(k, n, seed=rng).
 
@@ -410,7 +400,7 @@ def _scale_free_edges(n, m, rng):
         # attachment); the set's iteration order feeds the next draws
         targets = set()
         while len(targets) < m:
-            targets.add(_choice(rng, repeated_nodes))
+            targets.add(rng.choice(repeated_nodes))
         edges.extend((source, t) for t in targets)
         repeated_nodes.extend(targets)
         repeated_nodes.extend([source] * m)
@@ -453,14 +443,11 @@ def gen_scale_free(n, m, seed):
 
     Draws the graph networkx 3.6.1's barabasi_albert_graph(n, m, seed) draws
     (a star on m + 1 nodes, then each new node attaches to m distinct nodes
-    picked in proportion to degree), with networkx neither imported nor
-    needed.
+    picked in proportion to degree, so it is connected), with networkx
+    neither imported nor needed.
     """
     check_scale_free(n, m)
-    graph = _unit_graph(n, _scale_free_edges(n, m, random.Random(derive_seed(seed, 102))))
-    if not graph.is_connected():  # attachment graphs are connected by construction
-        raise GenerationError("preferential attachment produced a disconnected graph")
-    return graph
+    return _unit_graph(n, _scale_free_edges(n, m, random.Random(derive_seed(seed, 102))))
 
 
 def load_graph(path):

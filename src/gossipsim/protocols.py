@@ -247,6 +247,12 @@ class DandelionProtocol(BroadcastProtocol):
         super().__init__(graph, config)
         if anonymity.n != graph.n:
             raise ParameterError("anonymity graph does not match network size")
+        for u, relays in enumerate(zip(anonymity.s0.tolist(), anonymity.s1.tolist())):
+            for r in relays:
+                try:
+                    graph.latency(u, r)
+                except KeyError:
+                    raise ParameterError(f"node {u} relays to {r}, not its neighbor") from None
         self.anonymity = anonymity
         self.p = config.broadcast_probability
         self.stem_cap = config.stem_cap

@@ -128,12 +128,17 @@ class TestObservations:
         # an estimator takes each one alone as evidence for its sender
         assert all(estimate_first_reach([o]) == o[1] for o in stem_obs)
 
-    def test_observe_return_signals_censorship(self):
+    def test_open_log_returns_fresh_log(self):
         graph = star(4)
-        passive = Adversary(graph, AdversaryConfig(nodes=(1,), active=False))
-        active = Adversary(graph, AdversaryConfig(nodes=(1,), active=True))
-        assert passive.observe(0, 1, 0, 1.0, PHASE_BROADCAST) is False
-        assert active.observe(0, 1, 0, 1.0, PHASE_BROADCAST) is True
+        adv = Adversary(graph, AdversaryConfig(nodes=(1,)))
+        log = adv.open_log(0)
+        assert log == []
+        log.append((1.0, 0, 1, PHASE_BROADCAST))
+        assert adv.observations(0) is log
+        # a second run of the id replaces its log, never merges into it
+        again = adv.open_log(0)
+        assert again == [] and again is not log
+        assert adv.observations(0) is again
 
     def test_unobserved_message_empty_log(self):
         graph = star(4)

@@ -11,6 +11,7 @@ from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.engine import (PHASE_BROADCAST, PHASE_STEM, Simulation,
                               derive_seed, run_message, spawn_message)
 from gossipsim.errors import ParameterError
+from gossipsim.evaluator import ESTIMATORS, evaluate
 from gossipsim.graphs import (NetworkGraph, WeightGeneratorSpec,
                               assign_weights, gen_random_regular,
                               gen_scale_free)
@@ -42,6 +43,18 @@ class TestRunMessage:
         assert msg.spread_ratio == pytest.approx(2.0 / 3.0)
         # the delivery itself was still observed
         assert len(adv.observations(0)) == 1
+
+    def test_rerun_message_id_replaces_its_log(self):
+        graph = gen_random_regular(20, 4, seed=0)
+        proto = broadcast_all(graph)
+        adv = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
+        first = run_message(spawn_message(1, proto, rng=random.Random(0)), proto,
+                            adversary=adv, keep_events=True)
+        assert len(adv.observations(0)) == 12
+        second = run_message(spawn_message(2, proto, rng=random.Random(1)), proto,
+                             adversary=adv, keep_events=True)
+        assert first.events != second.events
+        assert adv.observations(0) == [e for e in second.events if e[2] in adv.nodes]
 
     def test_passive_adversary_does_not_interfere(self):
         graph = path_graph()
@@ -232,16 +245,29 @@ class TestSimulation:
                          seed=0).run()
         assert not set(run.originators) & set(adv.nodes)
 
-    def test_reused_adversary_rejected(self):
+    def test_reused_adversary_harmless(self):
+        # each run owns its logs: a second run on the same adversary neither
+        # changes the first run's results nor inherits its observations
         graph = gen_random_regular(20, 4, seed=0)
         proto = broadcast_all(graph)
         adv = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
-        Simulation(proto, adversary=adv, num_messages=5, seed=0).run()
-        with pytest.raises(ParameterError):
-            Simulation(proto, adversary=adv, num_messages=5, seed=1).run()
+        first = Simulation(proto, adversary=adv, num_messages=5, seed=0).run()
+        before = {e: evaluate(first, e) for e in ESTIMATORS}
+        second = Simulation(proto, adversary=adv, num_messages=3, seed=1).run()
+        assert {e: evaluate(first, e) for e in ESTIMATORS} == before
         fresh = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
-        run = Simulation(proto, adversary=fresh, num_messages=5, seed=1).run()
-        assert len(run.originators) == 5
+        alone = Simulation(proto, adversary=fresh, num_messages=3, seed=1).run()
+        assert second.observations == alone.observations
+        for e in ESTIMATORS:
+            assert evaluate(second, e) == evaluate(alone, e)
+
+    def test_observations_align_with_originators(self):
+        graph = gen_random_regular(20, 4, seed=0)
+        adv = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
+        run = Simulation(broadcast_all(graph), adversary=adv, num_messages=4).run()
+        assert len(run.observations) == len(run.originators) == 4
+        assert [adv.observations(mid) for mid in range(4)] == run.observations
+        assert Simulation(broadcast_all(graph), num_messages=4).run().observations == []
 
     def test_adversary_outside_protocol_graph_rejected(self):
         small = broadcast_all(gen_random_regular(20, 4, seed=0))

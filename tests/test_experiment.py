@@ -532,7 +532,10 @@ class TestCli:
         bad = tmp_path / "dense.cfg"
         bad.write_text(SMOKE_CONFIG.replace("topology.n = 60", "topology.n = 50")
                        .replace("topology.k = 6", "topology.k = 47"))
-        assert main(["validate", "--config", str(bad)]) == 0
+        # validate builds the first seed's graph, so it fails as run does
+        assert main(["validate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n=50, k=47" in err
         assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n=50, k=47" in err

@@ -15,7 +15,7 @@ from scipy.sparse import coo_matrix
 
 from gossipsim.errors import FormatError, GenerationError, ParameterError
 from gossipsim.graphs import (LATENCY_FLOOR_MS, STAKE_LOG_BOUND, NetworkGraph,
-                              ShortestPaths, WeightGeneratorSpec, _choice, _largest_component,
+                              ShortestPaths, WeightGeneratorSpec, _largest_component,
                               _regular_edges, _scale_free_edges, _shuffle,
                               assign_weights, gen_random_regular,
                               gen_scale_free, get_central_nodes, load_graph,
@@ -276,10 +276,8 @@ class TestNetworkxOracle:
         theirs.shuffle(ref)
         assert mine == ref
         assert ours.getstate() == theirs.getstate()
-        if items:
-            assert [_choice(ours, items) for _ in range(5)] == [
-                theirs.choice(items) for _ in range(5)]
-            assert ours.getstate() == theirs.getstate()
+        # the scale-free generator calls rng.choice itself, so its draws are
+        # pinned by the networkx oracle alone
 
     @given(st.sampled_from([(10, 4), (11, 4), (60, 6)]), st.integers(0, 50))
     def test_weighted_rows_match_validating_constructor(self, shape, seed):

@@ -92,12 +92,15 @@ def reference_run(protocol, adversary, originator, mid, rng):
     protocol.fluff = broadcast  # the instance attribute shadows the method
     msg = spawn_message(originator, protocol, mid=mid, rng=rng)
     watched = adversary.nodes if adversary is not None else frozenset()
+    log = adversary.open_log(mid) if adversary is not None else None
     while msg.queue:
         t, _seq, frm, to, phase, hop = heapq.heappop(msg.queue)
         if to not in msg.first_receipt:
             msg.first_receipt[to] = t
-        if to in watched and adversary.observe(mid, to, frm, t, phase):
-            continue
+        if to in watched:
+            log.append((t, frm, to, phase))
+            if adversary.active:
+                continue
         if phase == PHASE_BROADCAST:
             protocol.fluff(msg, t, to, frm)
         else:

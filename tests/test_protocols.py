@@ -22,8 +22,8 @@ from gossipsim.evaluator import evaluate
 from gossipsim.graphs import (NetworkGraph, WeightGeneratorSpec,
                               assign_weights, gen_random_regular)
 from gossipsim.protocols import (AnonymityGraph, BroadcastProtocol,
-                                 ProtocolConfig, build_anonymity_graph,
-                                 make_protocol)
+                                 DandelionProtocol, ProtocolConfig,
+                                 build_anonymity_graph, make_protocol)
 
 
 def relays(anon, u):
@@ -296,6 +296,17 @@ class TestAnonymityGraph:
     def test_relays_out_of_range(self, successors):
         with pytest.raises(ParameterError, match="out of range"):
             AnonymityGraph(successors, epoch_seed=0)
+
+    @pytest.mark.parametrize("successors", [[[3], [2], [1], [2]],
+                                            [[1], [0, 3], [1], [2]]])
+    def test_relays_must_be_neighbors(self, successors):
+        # at construction, not mid-run as a KeyError from the first stem hop
+        path = NetworkGraph(4, [(0, 1), (1, 2), (2, 3)])
+        cfg = ProtocolConfig(kind="dandelion", broadcast_probability=0.01)
+        with pytest.raises(ParameterError, match="not its neighbor"):
+            DandelionProtocol(path, cfg, AnonymityGraph(successors, epoch_seed=0))
+        DandelionProtocol(path, cfg, AnonymityGraph([[1], [0, 2], [1], [2]],
+                                                    epoch_seed=0))
 
     def test_relay_count(self):
         with pytest.raises(ParameterError):
