@@ -59,13 +59,15 @@ def _cmd_plot_data(args):
 
 def _cmd_validate(args):
     cfg = load_config(args.config)
-    # build what run builds first, so an unpairable shape or a bad file fails here
-    for topology in cfg.topology_kinds:
-        _build_graph(cfg, topology, cfg.seeds[0])
+    # build every graph run builds: whether a dense regular shape pairs
+    # depends on the seed, and a bad file fails here too
+    for seed in cfg.seeds:
+        for topology in cfg.topology_kinds:
+            _build_graph(cfg, topology, seed)
     cells = cfg.cells()
     expected = len(cells) * len(cfg.seeds) * len(cfg.estimators)
     print(f"config ok: {args.config}")
-    print(f"topologies: {', '.join(cfg.topology_kinds)} (built at seed {cfg.seeds[0]})")
+    print(f"topologies: {', '.join(cfg.topology_kinds)} (built at every seed)")
     print(f"cells: {len(cells)}")
     print(f"seeds: {len(cfg.seeds)}")
     print(f"estimators: {', '.join(cfg.estimators)}")

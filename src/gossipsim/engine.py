@@ -16,6 +16,11 @@ run is the same as if every duplicate were queued. Deliveries to adversarial
 nodes are always queued, so the adversary sees each one in delivery order.
 Stem and circuit deliveries are always queued too: they flip coins even when
 they reach a node twice.
+
+A mode 'all' flood from a fresh source is not popped at all unless events are
+kept: when the queue holds nothing but that flood's first fanout, run_message
+hands it to protocol.flood, one array pass that writes the same first
+receipts and observation log (see _flood_whole).
 """
 
 import heapq
@@ -62,12 +67,14 @@ class SimMessage:
     fanned the message out. watched is the adversarial node set, whose
     broadcast deliveries are queued even when they cannot improve an arrival;
     run_message sets it before draining the queue. events lists the popped
-    events when run_message is asked to keep them.
+    events when run_message is asked to keep them. source is (t, node, start,
+    end) once a mode 'all' fluff has started the message's first flood with
+    seqs start..end-1, until run_message checks it.
     """
 
     __slots__ = ("mid", "originator", "rng", "first_receipt", "queue",
                  "fluff_arrival", "watched", "circuit", "spread_ratio", "events",
-                 "seq")
+                 "seq", "source")
 
     def __init__(self, mid, originator, rng):
         self.mid = mid
@@ -81,6 +88,7 @@ class SimMessage:
         self.spread_ratio = 0.0
         self.events = None
         self.seq = 0
+        self.source = None
 
     def push(self, deliver_at, from_node, to_node, phase, hop):
         heapq.heappush(self.queue, (deliver_at, self.seq, from_node, to_node, phase, hop))
@@ -120,7 +128,10 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     circuit delivery to protocol.on_hop(msg, t, to, hop). A broadcast
     duplicate to an honest node that cannot improve its arrival is never
     queued (see the module docstring), so keep_events lists the popped
-    events, not every send.
+    events, not every send. Without keep_events, a fresh mode 'all' flood
+    that is all the queue holds, after spawn or after an on_hop, is computed
+    whole by protocol.flood(msg, t, node, watched, censor, log) and never
+    popped.
     """
     if keep_events:
         msg.events = []
@@ -131,12 +142,18 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     pop = heapq.heappop
     if adversary is not None:
         adv_nodes = adversary.nodes
-        log = adversary.open_log(msg.mid).append
+        obs = adversary.open_log(msg.mid)
+        log = obs.append
         censor = adversary.active
     else:
         adv_nodes = _EMPTY
+        obs = None
+        censor = False
     # set only now: spawn sends to each node at most once, so it sent no duplicate
     msg.watched = adv_nodes
+    whole = not keep_events
+    if whole and msg.source is not None:
+        _flood_whole(msg, protocol, adv_nodes, censor, obs)
     while queue:
         t, _seq, frm, to, phase, hop = pop(queue)
         if keep_events:
@@ -151,8 +168,28 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
             fluff(msg, t, to, frm)
         else:
             protocol.on_hop(msg, t, to, hop)
+            if whole and msg.source is not None:
+                _flood_whole(msg, protocol, adv_nodes, censor, obs)
     msg.spread_ratio = len(first_receipt) / protocol.graph.n
     return msg
+
+
+def _flood_whole(msg, protocol, watched, censor, obs):
+    """Hand a fresh flood to protocol.flood if the queue holds just its fanout.
+
+    msg.source = (t, node, start, end) is set by a mode 'all' fluff that
+    started the message's first flood and pushed seqs start..end-1. Right
+    after that fluff, nothing of the fanout has popped yet, so the queue
+    holds exactly the fanout when it has end - start entries and nothing was
+    pushed since; the pass then replaces popping them. Otherwise (other work
+    queued beside the flood) the heap runs the flood. Either way msg.source
+    is cleared, so the check runs once per fanout.
+    """
+    t, node, start, end = msg.source
+    msg.source = None
+    if msg.seq == end and len(msg.queue) == end - start:
+        msg.queue.clear()
+        protocol.flood(msg, t, node, watched, censor, obs)
 
 
 @dataclass

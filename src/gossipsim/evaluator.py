@@ -70,10 +70,24 @@ def rank_of(probs, originator, num_honest):
     return support + (num_honest - support + 1) / 2
 
 
+def left_sum(values):
+    """Float sum added strictly left to right.
+
+    This is what sum() computes on CPython <= 3.11; from 3.12 on, sum()
+    compensates its rounding (Neumaier), which moves the last bits. Report
+    and aggregate cells are summed here, so they are the same bytes on every
+    interpreter.
+    """
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def _entropy_of(probs, num_honest):
     if probs is None:
         return math.log2(num_honest)
-    return -sum(p * math.log2(p) for p in probs.values() if p > 0.0)
+    return -left_sum(p * math.log2(p) for p in probs.values() if p > 0.0)
 
 
 def compute_report(dists, originators, spread_ratios, num_honest, estimator=""):
@@ -109,7 +123,7 @@ def compute_report(dists, originators, spread_ratios, num_honest, estimator=""):
         inverse_rank=inv_sum / m,
         entropy=ent_sum / m,
         ndcg=ndcg_sum / m,
-        message_spread_ratio=sum(spread_ratios) / m,
+        message_spread_ratio=left_sum(spread_ratios) / m,
     )
 
 

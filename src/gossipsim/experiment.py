@@ -20,7 +20,7 @@ from .adversary import (Adversary, AdversaryConfig, adversary_count,
                         check_adversary_nodes)
 from .engine import Simulation, derive_seed
 from .errors import ConfigError, ParameterError, SchemaError
-from .evaluator import ESTIMATORS, evaluate
+from .evaluator import ESTIMATORS, evaluate, left_sum
 from .graphs import (WeightGeneratorSpec, assign_weights, check_regular,
                      check_scale_free, check_stake, gen_random_regular,
                      gen_scale_free, load_graph, load_node_weights)
@@ -506,10 +506,10 @@ def aggregate_rows(rows):
 
 def _mean_std(vals):
     """Mean and sample (n-1) standard deviation; the std of one value is 0.0."""
-    mean = sum(vals) / len(vals)
+    mean = left_sum(vals) / len(vals)
     if len(vals) < 2:
         return mean, 0.0
-    return mean, math.sqrt(sum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
+    return mean, math.sqrt(left_sum((v - mean) ** 2 for v in vals) / (len(vals) - 1))
 
 
 AGGREGATE_COLUMNS = (CELL_COLUMNS + ["num_seeds"]

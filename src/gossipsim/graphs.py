@@ -84,10 +84,11 @@ class NetworkGraph:
     pairs sorted by neighbor, and every edge sits in both of its rows. The
     other views are derived from it: edges (canonical (u, v) with u < v, in
     sorted order, which pins the iteration order used by weight assignment
-    and export), latencies (in edge order), latency(u, v) and the lazy CSR
-    matrix. Self-loops are dropped; a duplicate edge keeps its first latency.
-    The graph also keeps the centrality scores computed on it (see
-    get_central_nodes); a graph derived from it starts without them.
+    and export), latencies (in edge order), latency(u, v) and the CSR arrays
+    (csr_arrays, which the mode 'all' flood and csr_latency_matrix read).
+    Self-loops are dropped; a duplicate edge keeps its first latency. The
+    graph also keeps the CSR arrays and the centrality scores computed on it
+    (see get_central_nodes); a graph derived from it starts without them.
     """
 
     def __init__(self, n, edges, latencies=None, node_weights=None, labels=None,
@@ -124,6 +125,7 @@ class NetworkGraph:
         if len(self.labels) != n:
             raise ParameterError("label list does not match node count")
         self._scores = {}
+        self._csr = None
 
         if check_connected and not self.is_connected():
             raise ParameterError("graph is not connected")
@@ -141,6 +143,7 @@ class NetworkGraph:
         graph.node_weights = node_weights
         graph.labels = labels
         graph._scores = {}
+        graph._csr = None
         return graph
 
     @property
@@ -197,17 +200,37 @@ class NetworkGraph:
             g.add_edge(u, v, latency=l)
         return g
 
-    def csr_latency_matrix(self):
-        """scipy CSR latency matrix of adj, built anew on each call.
+    def csr_arrays(self):
+        """adj as read-only CSR arrays (indptr, indices, data).
 
-        scipy is imported on call. No simulation path calls this (circuit
-        hops use ShortestPaths); scipy-based checks build one matrix per graph.
+        Row u's neighbours are indices[indptr[u]:indptr[u + 1]], in adj
+        order, with their latencies at the same positions of data (float64);
+        indptr and indices are int32. Built on first use and kept on the
+        graph; a graph derived from this one starts without them.
+        """
+        arrays = self._csr
+        if arrays is None:
+            indptr = np.zeros(self.n + 1, dtype=np.int32)
+            np.cumsum([len(row) for row in self.adj], out=indptr[1:])
+            m = int(indptr[-1])
+            indices = np.fromiter((v for row in self.adj for v, _ in row),
+                                  dtype=np.int32, count=m)
+            data = np.fromiter((l for row in self.adj for _, l in row), dtype=float, count=m)
+            arrays = (indptr, indices, data)
+            for a in arrays:
+                a.flags.writeable = False
+            self._csr = arrays
+        return arrays
+
+    def csr_latency_matrix(self):
+        """scipy CSR latency matrix over csr_arrays(), a new matrix on each call.
+
+        scipy is imported on call. The simulation uses the arrays themselves
+        (the mode 'all' flood) and never this matrix; scipy-based checks build
+        one matrix per graph.
         """
         from scipy.sparse import csr_matrix
-        indptr = np.cumsum([0] + [len(row) for row in self.adj], dtype=np.int32)
-        pairs = [p for row in self.adj for p in row]
-        indices = np.fromiter((v for v, _ in pairs), dtype=np.int32, count=len(pairs))
-        data = np.fromiter((l for _, l in pairs), dtype=float, count=len(pairs))
+        indptr, indices, data = self.csr_arrays()
         return csr_matrix((data, indices, indptr), shape=(self.n, self.n))
 
     def __repr__(self):

@@ -17,6 +17,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappush
+from itertools import repeat
 
 import numpy as np
 
@@ -144,10 +145,11 @@ class BroadcastProtocol:
     """Flood from the originator; nothing is hidden.
 
     Every protocol ends in this flood: the engine hands each broadcast
-    delivery to fluff. A routing protocol subclasses this one and adds its
-    anonymity phase: on_spawn starts the message, and on_hop(msg, t, node,
-    hop) handles each stem or circuit delivery, pushing the next hop or
-    calling self.fluff(msg, t, node, -1) to start the flood at node.
+    delivery to fluff, or a whole fresh mode 'all' flood to flood. A routing
+    protocol subclasses this one and adds its anonymity phase: on_spawn
+    starts the message, and on_hop(msg, t, node, hop) handles each stem or
+    circuit delivery, pushing the next hop or calling self.fluff(msg, t,
+    node, -1) to start the flood at node.
     """
 
     def __init__(self, graph, config):
@@ -157,6 +159,9 @@ class BroadcastProtocol:
         self._fan = [math.isqrt(len(row) - 1) + 1 if row else 0 for row in graph.adj]
         # Random.sample's branch switch, indexed by fanout
         self._setsize = [_sample_setsize(c) for c in range(max(self._fan, default=0) + 1)]
+        # one Python int per node, shared by the entries flood() writes: a
+        # fresh int per entry made a 20-message log at 1000/50 45% larger
+        self._ids = np.arange(graph.n).astype(object)
 
     def on_spawn(self, msg):
         self.fluff(msg, 0.0, msg.originator, -1)
@@ -169,7 +174,9 @@ class BroadcastProtocol:
         only neighbor is the node that fed it. Otherwise sender is the
         neighbor that delivered the message. A delivery to an honest node is
         queued only if it is earlier than the node's fluff arrival so far (see
-        the engine module); sqrt mode draws its sample either way.
+        the engine module); sqrt mode draws its sample either way. In mode
+        'all', a fresh source's fanout that is the message's first also sets
+        msg.source, so that run_message can hand the flood to flood().
 
         The sqrt sample is msg.rng.sample(pool, c) on the sender-free neighbor
         list, drawn inline: the same getrandbits calls as CPython's
@@ -184,6 +191,9 @@ class BroadcastProtocol:
         adj = self.graph.adj[node]
         if self.mode_all:
             targets, excluded = adj, sender
+            if sender < 0 and len(arrival) == 1:
+                # the message's first fanout: every neighbour is queued
+                msg.source = (t, node, msg.seq, msg.seq + len(adj))
         else:
             c = self._fan[node]
             n = len(adj)
@@ -231,6 +241,175 @@ class BroadcastProtocol:
             heappush(queue, (at, seq, node, w, PHASE_BROADCAST, 0))
             seq += 1
         msg.seq = seq
+
+    def flood(self, msg, t, source, watched, censor, log):
+        """The whole mode 'all' flood that fluff(msg, t, source, -1) starts, in one pass.
+
+        run_message calls this in place of popping the flood's deliveries
+        (see its _flood_whole). It writes what popping them writes: a first
+        receipt for every reached node that has none yet, and, when log is a
+        list, each broadcast delivery at a watched node, appended in delivery
+        order. censor makes watched nodes sinks, as an active adversary does.
+
+        Arrivals: d[source] = t and d[x] = min over forwarding neighbours y of
+        fl(d[y] + w(y, x)), found by relaxing rows until no arrival falls
+        (_arrivals). Every latency is at least LATENCY_FLOOR_MS, so this
+        fixpoint is unique and equals the engine's arrivals, whatever the
+        relaxation order. The engine pops in (arrival, seq) order, so nodes
+        forward in (d, rank of pred, id) order, and pred(y), the neighbour
+        that y does not send back to, is y's tight parent (fl(d[z] + w) ==
+        d[y]) of lowest rank. Where arrivals are distinct both follow from d;
+        tied arrivals, and nodes with several tight parents, are resolved in
+        Python, group by group in increasing d.
+        """
+        n = self.graph.n
+        csr = self.graph.csr_arrays()
+        adv = np.zeros(n, dtype=bool)
+        adv[list(watched)] = True
+        forwards = ~adv if censor else np.ones(n, dtype=bool)
+        forwards[source] = True
+        d = _arrivals(*csr, source, t, forwards)
+        forwarded = forwards & (d < np.inf)
+        pred, rank = _pop_order(*csr, d, forwarded)
+        if log is not None and watched:
+            at, frm, to = _logged(*csr, d, forwarded, adv, pred, rank)
+            ids = self._ids
+            log.extend(zip(at.tolist(), ids[frm].tolist(), ids[to].tolist(),
+                           repeat(PHASE_BROADCAST)))
+        first_receipt = msg.first_receipt
+        hit = np.flatnonzero(d < np.inf)
+        for x, dx in zip(self._ids[hit].tolist(), d[hit].tolist()):
+            first_receipt.setdefault(x, dx)
+
+
+def _arrivals(indptr, indices, lats, source, t, forwards):
+    """Flood arrival per node (inf where unreached) from source at time t.
+
+    Bellman-Ford over CSR rows in buckets (delta-stepping): a forwarding node
+    is pending while its arrival fell since its row was last relaxed, and
+    each round relaxes the pending nodes within half a mean latency of the
+    earliest one. Relaxing every pending node each round takes fewer rounds
+    but relaxes rows again and again: 190k row entries for the 50k of a
+    1000/50 graph, against 77k in buckets, with the temporaries of a whole
+    round held at once.
+    """
+    d = np.full(len(forwards), np.inf)
+    d[source] = t
+    pending = np.zeros(len(forwards), dtype=bool)
+    pending[source] = True
+    width = lats.mean() / 2 if len(lats) else 0.0
+    while True:
+        nodes = np.flatnonzero(pending)
+        if not len(nodes):
+            return d
+        near = d[nodes]
+        nodes = nodes[near <= near.min() + width]
+        pending[nodes] = False
+        starts = indptr[nodes]
+        counts = indptr[nodes + 1] - starts
+        ends = np.cumsum(counts)
+        edges = np.arange(ends[-1]) + np.repeat(starts - ends + counts, counts)
+        fallen = d.copy()
+        np.minimum.at(fallen, indices[edges], np.repeat(d[nodes], counts) + lats[edges])
+        pending |= (fallen < d) & forwards
+        d = fallen
+
+
+def _pop_order(indptr, indices, lats, d, forwarded):
+    """pred and rank of each forwarding node: its tight parent of lowest
+    rank (-1 at the source) and its position in the order nodes forward."""
+    n = len(d)
+    # tight entries, 128 rows at a time: whole-graph temporaries raised the
+    # sweep's peak RSS by over a MB. np.repeat over rows and np.take are
+    # several times faster here than indexing with the int32 arrays
+    blocks = []
+    for r0 in range(0, n, 128):
+        r1 = min(r0 + 128, n)
+        lo, hi = indptr[r0], indptr[r1]
+        degrees = np.diff(indptr[r0:r1 + 1])
+        arrive = np.repeat(d[r0:r1], degrees)
+        arrive += lats[lo:hi]
+        sent = np.repeat(forwarded[r0:r1], degrees)
+        blocks.append(np.flatnonzero(sent & (arrive == np.take(d, indices[lo:hi]))) + lo)
+    tight = np.concatenate(blocks)
+    children = np.take(indices, tight)
+    parents = np.searchsorted(indptr, tight, side="right") - 1
+    pred = np.full(n, -1, dtype=np.intp)
+    pred[children] = parents
+    several = np.bincount(children, minlength=n) > 1
+    order = np.flatnonzero(forwarded)
+    order = order[np.argsort(d[order])]
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(len(order))
+    level = d[order]
+    same = level[1:] == level[:-1]
+    unresolved = several[order]
+    unresolved[1:] |= same
+    unresolved[:-1] |= same
+    if unresolved.any():
+        pred, rank = _resolve_ties(order, level, unresolved, pred, rank,
+                                   children, parents, several)
+    return pred, rank
+
+
+def _resolve_ties(order, level, unresolved, pred, rank, children, parents, several):
+    """pred and rank where arrivals tie or a node has several tight parents.
+
+    order lists the forwarding nodes by d, in any order within equal d,
+    and level is their d; unresolved marks the positions of tied arrivals
+    and of nodes with several tight parents. Groups of equal d are taken in
+    increasing d and every latency is positive, so the ranks of a group's
+    tight parents are final when the group is ordered.
+    """
+    pred_of = pred.tolist()
+    rank_of = rank.tolist()
+    choices = {}
+    pick = several[children]
+    for x, z in zip(children[pick].tolist(), parents[pick].tolist()):
+        choices.setdefault(x, []).append(z)
+    positions = np.flatnonzero(unresolved)
+    members = order[positions].tolist()
+    levels = level[positions].tolist()
+    positions = positions.tolist()
+    i = 0
+    while i < len(members):
+        j = i + 1
+        while j < len(members) and levels[j] == levels[i]:
+            j += 1
+        group = members[i:j]
+        for x in group:
+            if x in choices:
+                pred_of[x] = min(choices[x], key=rank_of.__getitem__)
+        if len(group) > 1:
+            group.sort(key=lambda x: (rank_of[pred_of[x]], x))
+            for r, x in enumerate(group, positions[i]):
+                rank_of[x] = r
+        i = j
+    return np.array(pred_of, dtype=np.intp), np.array(rank_of, dtype=np.intp)
+
+
+def _logged(indptr, indices, lats, d, forwarded, adv, pred, rank):
+    """(arrival, sender, observer) arrays of the broadcast deliveries at
+    adversarial nodes, in the order the engine pops them: by arrival, then
+    sender rank, then observer. A sender skips its pred."""
+    entries = np.flatnonzero(np.repeat(forwarded, np.diff(indptr))
+                             & np.take(adv, indices))
+    frm = np.searchsorted(indptr, entries, side="right") - 1
+    to = np.take(indices, entries)
+    keep = to != pred[frm]
+    frm, to = frm[keep], to[keep]
+    at = d[frm] + lats[entries[keep]]
+    order = np.argsort(at)
+    at_sorted = at[order]
+    same = at_sorted[1:] == at_sorted[:-1]
+    if same.any():
+        # sorting the tied runs whole also fixes argsort's order inside them
+        tied = np.zeros(len(order), dtype=bool)
+        tied[1:] = same
+        tied[:-1] |= same
+        sub = order[tied]
+        order[tied] = sub[np.lexsort((to[sub], rank[frm[sub]], at[sub]))]
+    return at[order], frm[order], to[order]
 
 
 class DandelionProtocol(BroadcastProtocol):

@@ -107,10 +107,34 @@ def grid_fanout_all():
                             estimators=("first_sent",)))
 
 
+def _passive_half(rows):
+    """The rows of the passive cells of a sweep over p = 0.5 and both actives."""
+    return [r for r in rows if r["broadcast_probability"] in (0.5, None)]
+
+
 @pytest.fixture(scope="session")
-def grid_active_passive():
-    return _run_rows(_sweep(broadcast_probabilities=(0.5,),
-                            adversary_actives=(False, True)))
+def grid_active_passive(grid_regular):
+    # the passive cells are grid_regular's: a cell's rows do not depend on the
+    # other cells of its sweep (test_cell_rows_do_not_depend_on_the_sweep)
+    return _passive_half(grid_regular[0]) + _run_rows(
+        _sweep(broadcast_probabilities=(0.5,), adversary_actives=(True,)))
+
+
+def test_cell_rows_do_not_depend_on_the_sweep():
+    """The passive rows of an active-and-passive sweep at p = 0.5 equal the
+    matching rows of a passive sweep over every p (reduced size)."""
+    small = dict(n=200, k=10, num_messages=4, seeds=(0, 1))
+    both = _run_rows(_sweep(broadcast_probabilities=(0.5,),
+                            adversary_actives=(False, True), **small))
+    passive = _run_rows(_sweep(**small))
+
+    def key(r):
+        return (r["protocol"], str(r["broadcast_probability"]), r["adversary_ratio"],
+                r["estimator"], r["seed"])
+
+    expected = sorted(_passive_half(passive), key=key)
+    assert sorted((r for r in both if not r["adversary_active"]), key=key) == expected
+    assert len(expected) == 12 * 2 * 2  # cells x seeds x estimators
 
 
 @pytest.fixture(scope="session")

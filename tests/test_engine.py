@@ -126,6 +126,70 @@ class TestRunMessage:
         assert len(msg.events) <= 2 * len(graph.edges)
 
 
+class TestWholeFlood:
+    """A fresh mode 'all' flood is computed in one pass unless events are kept."""
+
+    def run_both(self, graph, adversary_nodes, monkeypatch):
+        proto = broadcast_all(graph)
+        calls = []
+        flood = proto.flood
+        monkeypatch.setattr(proto, "flood", lambda *a: calls.append(a) or flood(*a))
+        out = []
+        for keep in (False, True):
+            adv = Adversary(graph, AdversaryConfig(nodes=adversary_nodes))
+            msg = run_message(spawn_message(0, proto, rng=random.Random(0)),
+                              proto, adversary=adv, keep_events=keep)
+            out.append((msg.first_receipt, adv.observations(0)))
+        assert len(calls) == 1
+        return out
+
+    def test_tied_parents_pred_is_first_forwarder(self, monkeypatch):
+        # 1 and 2 both reach 3 at 2.0; 1 forwarded first, so 3 sends back to 2
+        graph = NetworkGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        whole, popped = self.run_both(graph, (2,), monkeypatch)
+        assert whole == popped
+        assert whole[1] == [(1.0, 0, 2, PHASE_BROADCAST), (3.0, 3, 2, PHASE_BROADCAST)]
+
+    def test_tied_arrivals_logged_in_sender_order(self, monkeypatch):
+        # both deliveries arrive at 2.0: sender 1 forwarded before sender 2
+        graph = NetworkGraph(5, [(0, 1), (0, 2), (1, 4), (2, 3)])
+        whole, popped = self.run_both(graph, (3, 4), monkeypatch)
+        assert whole == popped
+        assert whole[1] == [(2.0, 1, 4, PHASE_BROADCAST), (2.0, 2, 3, PHASE_BROADCAST)]
+
+    @pytest.mark.parametrize("kind", ["broadcast", "dandelion_pp"])
+    @pytest.mark.parametrize("active", [False, True])
+    def test_full_size_graph_matches_popping(self, kind, active):
+        # normal latencies clamp about 1.25% of edges to 1.0 ms, so arrivals tie
+        graph = assign_weights(gen_random_regular(1000, 50, seed=0),
+                               WeightGeneratorSpec(), seed=0)
+        proto = make_protocol(graph, ProtocolConfig(kind=kind, broadcast_mode="all"), seed=0)
+        adv = Adversary(graph, AdversaryConfig(ratio=0.1, active=active), seed=0)
+        honest = [u for u in range(graph.n) if u not in adv.nodes]
+        for mid in range(3):
+            runs = []
+            for keep in (False, True):
+                msg = run_message(spawn_message(honest[97 * mid], proto, mid=mid,
+                                                rng=random.Random(mid)),
+                                  proto, adversary=adv, keep_events=keep)
+                runs.append((msg.first_receipt, msg.spread_ratio, msg.rng.getstate(),
+                             adv.observations(mid)))
+            assert runs[0] == runs[1]
+            # the pass's entries share one int per node: a fresh int per entry
+            # made a 20-message log about 45% larger
+            whole_log = runs[0][3]
+            assert len({id(x) for entry in whole_log for x in entry[1:3]}) <= graph.n
+
+    def test_other_queued_work_stays_on_the_heap(self, monkeypatch):
+        graph = NetworkGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+        proto = broadcast_all(graph)
+        monkeypatch.setattr(proto, "flood", lambda *a: pytest.fail("flood ran"))
+        msg = spawn_message(0, proto, rng=random.Random(0))
+        msg.push(0.5, 0, 3, PHASE_BROADCAST, 0)  # a delivery beside the fanout
+        run_message(msg, proto, Adversary(graph, AdversaryConfig(nodes=(2,))))
+        assert msg.first_receipt == {0: 0.0, 1: 1.0, 2: 1.0, 3: 0.5}
+
+
 class TestSpawn:
     def test_broadcast_spawn_fans_to_all_neighbors(self):
         graph = NetworkGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)])

@@ -532,7 +532,7 @@ class TestCli:
         bad = tmp_path / "dense.cfg"
         bad.write_text(SMOKE_CONFIG.replace("topology.n = 60", "topology.n = 50")
                        .replace("topology.k = 6", "topology.k = 47"))
-        # validate builds the first seed's graph, so it fails as run does
+        # validate builds every seed's graphs, so it fails as run does
         assert main(["validate", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n=50, k=47" in err
@@ -540,6 +540,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n=50, k=47" in err
         assert not list(tmp_path.glob("*.csv"))
+
+    def test_shape_that_pairs_only_at_some_seeds_exits_2(self, tmp_path, capsys):
+        # (50, 43) pairs at seeds 0 and 1 but not at seed 2
+        bad = tmp_path / "dense.cfg"
+        bad.write_text(SMOKE_CONFIG.replace("topology.n = 60", "topology.n = 50")
+                       .replace("topology.k = 6", "topology.k = 43")
+                       .replace("seeds = 0..1", "seeds = 0..2"))
+        assert main(["validate", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n=50, k=43" in err
 
     def test_missing_file_exits_3(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.cfg")]) == 3

@@ -65,7 +65,8 @@ class TestNetworkGraph:
 
     def test_adj_is_the_only_edge_store(self, tmp_path):
         g = triangle()
-        assert set(vars(g)) == {"n", "adj", "node_weights", "labels", "_scores"}
+        # the other two hold what is derived from adj: scores and CSR arrays
+        assert set(vars(g)) == {"n", "adj", "node_weights", "labels", "_scores", "_csr"}
         assert g.adj[1] == [(0, 1.0), (2, 1.0)]
         path = tmp_path / "weights.txt"
         path.write_text("1 2.5\n")
@@ -74,6 +75,17 @@ class TestNetworkGraph:
                       assign_weights(g, spec, seed=0),
                       load_node_weights(assign_weights(g, spec, seed=0), path)):
             assert set(vars(built)) == set(vars(g))
+
+    def test_csr_arrays_mirror_adj_and_stay_with_the_graph(self):
+        g = assign_weights(gen_scale_free(30, 2, seed=1), WeightGeneratorSpec(), seed=1)
+        indptr, indices, data = g.csr_arrays()
+        assert (indptr.dtype, indices.dtype, data.dtype) == (np.int32, np.int32, np.float64)
+        for u, row in enumerate(g.adj):
+            span = slice(indptr[u], indptr[u + 1])
+            assert list(zip(indices[span].tolist(), data[span].tolist())) == row
+        assert g.csr_arrays()[1] is indices
+        assert not indices.flags.writeable
+        assert assign_weights(g, WeightGeneratorSpec(), seed=2)._csr is None
 
     def test_latency_of_non_edge(self):
         g = NetworkGraph(3, [(0, 1), (1, 2)])
