@@ -146,29 +146,6 @@ def test_skipping_duplicates_changes_nothing(kind, mode, adversary_kind, graph, 
                             stem_cap, pick)
 
 
-def run_both_paths(protocol, adversary_kind, ratio, seed, originator, mid, monkeypatch):
-    """One message with keep_events False (the whole-flood pass where it applies)
-    and True (every event popped); returns both messages, both logs and whether
-    the pass ran."""
-    calls = []
-    flood = protocol.flood
-
-    def counted(*args):
-        calls.append(args)
-        return flood(*args)
-
-    monkeypatch.setattr(protocol, "flood", counted)
-    runs = []
-    for keep in (False, True):
-        adv = adversary_for(protocol.graph, adversary_kind, ratio, seed)
-        msg = run_message(spawn_message(originator, protocol, mid=mid,
-                                        rng=random.Random(seed + mid)),
-                          protocol, adv, keep_events=keep)
-        runs.append((msg, adv.observations(mid) if adv is not None else None))
-    (whole, whole_log), (popped, popped_log) = runs
-    return whole, whole_log, popped, popped_log, len(calls)
-
-
 @pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])
 @pytest.mark.parametrize("kind", PROTOCOL_KINDS)
 @given(graph=weighted_graphs(), seed=st.integers(0, 2 ** 16),
@@ -177,22 +154,31 @@ def run_both_paths(protocol, adversary_kind, ratio, seed, originator, mid, monke
        stem_cap=st.integers(1, 6), pick=st.integers(0, 2 ** 16))
 def test_whole_flood_equals_popping_every_event(kind, adversary_kind, graph, seed, ratio,
                                                  probability, stem_cap, pick):
+    """keep_events=False (the whole-flood pass where it applies) and True
+    (every event popped) give the same message and log."""
     cfg = ProtocolConfig(kind=kind, broadcast_mode="all",
                          broadcast_probability=probability, stem_cap=stem_cap)
     protocol = make_protocol(graph, cfg, seed=seed)
+    calls = []
+    flood = protocol.flood
+    # the instance attribute shadows the method
+    protocol.flood = lambda *args: calls.append(args) or flood(*args)
     honest = honest_nodes(graph, adversary_for(graph, adversary_kind, ratio, seed))
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        for mid in range(3):
-            originator = honest[(pick + 7 * mid) % len(honest)]
-            whole, whole_log, popped, popped_log, calls = run_both_paths(
-                protocol, adversary_kind, ratio, seed, originator, mid, monkeypatch)
-            assert whole.first_receipt == popped.first_receipt
-            assert whole.spread_ratio == popped.spread_ratio
-            assert whole.rng.getstate() == popped.rng.getstate()
-            assert whole_log == popped_log
-            # the pass ran exactly when a flood started (it runs once, unpopped)
-            flooded = any(e[3] == PHASE_BROADCAST for e in popped.events)
-            assert calls == flooded
+    for mid in range(3):
+        originator = honest[(pick + 7 * mid) % len(honest)]
+        ran_before = len(calls)
+        runs = []
+        for keep in (False, True):
+            adv = adversary_for(graph, adversary_kind, ratio, seed)
+            msg = run_message(spawn_message(originator, protocol, mid=mid,
+                                            rng=random.Random(seed + mid)),
+                              protocol, adv, keep_events=keep)
+            runs.append((msg.first_receipt, msg.spread_ratio, msg.rng.getstate(),
+                         adv.observations(mid) if adv is not None else None))
+        assert runs[0] == runs[1]
+        # the pass ran exactly when a flood started
+        flooded = any(e[3] == PHASE_BROADCAST for e in msg.events)
+        assert len(calls) - ran_before == flooded
 
 
 # No shrinking: every shrink step rebuilds a graph of up to 300 nodes, and a
