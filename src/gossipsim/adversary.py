@@ -1,14 +1,14 @@
 """Adversarial observers: placement, observation logs, optional censorship.
 
 Adversaries control a fixed set of nodes. They never originate messages. The
-engine logs every delivery at those nodes; under an active adversary it then
-censors the delivery (the protocol callback is skipped, so the message
-silently stops at that node). Each log entry is the engine's own delivery
-tuple (arrival, sender, observer, phase), the layout of a kept message's
-events. A run keeps the log of each of its messages, so one adversary can
-watch any number of runs. Deanonymization itself, including which phases
-link a sender to the message, lives in the estimators module; this one
-only collects the raw material.
+engine folds every delivery at those nodes into the message's keys (see
+engine.run_message), and logs it too when the run keeps its events; under an
+active adversary it then censors the delivery (the protocol callback is
+skipped, so the message silently stops at that node). Each log entry is the
+engine's own delivery tuple (arrival, sender, observer, phase), the layout of
+a kept message's events. A run keeps its messages' keys, so one adversary can
+watch any number of runs. Deanonymization itself lives in the estimators
+module; this one only collects the raw material.
 """
 
 from dataclasses import dataclass
@@ -94,13 +94,15 @@ class Adversary:
 
     def open_log(self, message_id):
         """A fresh empty log for one message's run, replacing any earlier log
-        of that id; the engine appends each delivery at an adversarial node."""
+        of that id; with keep_events the engine appends each delivery at an
+        adversarial node."""
         log = self._logs[message_id] = []
         return log
 
     def observations(self, message_id):
         """The (arrival, sender, observer, phase) deliveries of the latest run
-        of one message, in delivery order."""
+        of one message, in delivery order; empty unless that run kept its
+        events."""
         return self._logs.get(message_id, [])
 
     def __repr__(self):

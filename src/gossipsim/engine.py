@@ -3,10 +3,11 @@
 Events are deliveries (deliver_at, from_node, to_node) tagged with a protocol
 phase. A binary heap pops them in (deliver_at, insertion order) order, which
 makes runs with equal timestamps deterministic. The engine records each node's
-first receipt and logs every delivery at an adversarial node (then censors it
-if the adversary is active). It hands every other broadcast delivery to the
-protocol's fluff and every stem or circuit delivery to its on_hop, which
-enqueue the successor events: a protocol implements only its anonymity phase.
+first receipt and folds every delivery at an adversarial node into the
+estimators' keys (then censors it if the adversary is active). It hands
+every other broadcast delivery to the protocol's fluff and every stem or
+circuit delivery to its on_hop, which enqueue the successor events: a
+protocol implements only its anonymity phase.
 
 The fluff phase is label-setting, as in Dijkstra's algorithm: a broadcast
 delivery to an honest node is queued only if it is earlier than every
@@ -20,13 +21,13 @@ they reach a node twice.
 A mode 'all' flood from a fresh source is not popped at all unless events are
 kept: when the queue holds nothing but that flood's first fanout, run_message
 hands it to protocol.flood, one array pass that writes the same first
-receipts and observation log (see _flood_whole).
+receipts and keys (see _flood_whole).
 """
 
 import heapq
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,12 +70,14 @@ class SimMessage:
     run_message sets it before draining the queue. events lists the popped
     events when run_message is asked to keep them. source is (t, node, start,
     end) once a mode 'all' fluff has started the message's first flood with
-    seqs start..end-1, until run_message checks it.
+    seqs start..end-1, until run_message checks it. first_reach and
+    first_sent are the estimators' keys (see run_message), None until a
+    delivery counts.
     """
 
     __slots__ = ("mid", "originator", "rng", "first_receipt", "queue",
                  "fluff_arrival", "watched", "circuit", "spread_ratio", "events",
-                 "seq", "source")
+                 "seq", "source", "first_reach", "first_sent")
 
     def __init__(self, mid, originator, rng):
         self.mid = mid
@@ -89,6 +92,8 @@ class SimMessage:
         self.events = None
         self.seq = 0
         self.source = None
+        self.first_reach = None
+        self.first_sent = None
 
     def push(self, deliver_at, from_node, to_node, phase, hop):
         heapq.heappush(self.queue, (deliver_at, self.seq, from_node, to_node, phase, hop))
@@ -121,17 +126,19 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     """Drain the message's event queue; returns the message with spread set.
 
     Every popped delivery records a first receipt if it is the node's first.
-    Deliveries at adversarial nodes, duplicates included, go to the fresh log
-    adversary.open_log(msg.mid); if the adversary is active, the message
-    simply stops there. Otherwise a
+    A delivery at an adversarial node, duplicates included, that is linkable
+    (not circuit phase) and has an honest sender counts: msg.first_reach is
+    the least (arrival, sender) and msg.first_sent the least (arrival -
+    latency, sender) over those. With keep_events every delivery there also
+    goes to the fresh log adversary.open_log(msg.mid), opened either way.
+    If the adversary is active, the message simply stops there. Otherwise a
     broadcast delivery goes to protocol.fluff(msg, t, to, frm) and a stem or
     circuit delivery to protocol.on_hop(msg, t, to, hop). A broadcast
     duplicate to an honest node that cannot improve its arrival is never
     queued (see the module docstring), so keep_events lists the popped
     events, not every send. Without keep_events, a fresh mode 'all' flood
     that is all the queue holds, after spawn or after an on_hop, is computed
-    whole by protocol.flood(msg, t, node, watched, censor, log) and never
-    popped.
+    whole by protocol.flood(msg, t, node, censor) and never popped.
     """
     if keep_events:
         msg.events = []
@@ -142,18 +149,18 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     pop = heapq.heappop
     if adversary is not None:
         adv_nodes = adversary.nodes
-        obs = adversary.open_log(msg.mid)
-        log = obs.append
+        log = adversary.open_log(msg.mid).append
         censor = adversary.active
+        adj = protocol.graph.adj
     else:
         adv_nodes = _EMPTY
-        obs = None
         censor = False
     # set only now: spawn sends to each node at most once, so it sent no duplicate
     msg.watched = adv_nodes
     whole = not keep_events
     if whole and msg.source is not None:
-        _flood_whole(msg, protocol, adv_nodes, censor, obs)
+        _flood_whole(msg, protocol, censor)
+    reach, sent = msg.first_reach, msg.first_sent
     while queue:
         t, _seq, frm, to, phase, hop = pop(queue)
         if keep_events:
@@ -161,7 +168,15 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
         if to not in first_receipt:
             first_receipt[to] = t
         if to in adv_nodes:
-            log((t, frm, to, phase))
+            if keep_events:
+                log((t, frm, to, phase))
+            if phase != PHASE_CIRCUIT and frm not in adv_nodes:
+                if reach is None or t <= reach[0] and (t, frm) < reach:
+                    reach = (t, frm)
+                row = adj[to]  # the observer's own row, as it knows its links
+                at = t - row[bisect_left(row, (frm,))][1]
+                if sent is None or at <= sent[0] and (at, frm) < sent:
+                    sent = (at, frm)
             if censor:
                 continue
         if phase == PHASE_BROADCAST:
@@ -169,12 +184,15 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
         else:
             protocol.on_hop(msg, t, to, hop)
             if whole and msg.source is not None:
-                _flood_whole(msg, protocol, adv_nodes, censor, obs)
+                msg.first_reach, msg.first_sent = reach, sent
+                _flood_whole(msg, protocol, censor)
+                reach, sent = msg.first_reach, msg.first_sent
+    msg.first_reach, msg.first_sent = reach, sent
     msg.spread_ratio = len(first_receipt) / protocol.graph.n
     return msg
 
 
-def _flood_whole(msg, protocol, watched, censor, obs):
+def _flood_whole(msg, protocol, censor):
     """Hand a fresh flood to protocol.flood if the queue holds just its fanout.
 
     msg.source = (t, node, start, end) is set by a mode 'all' fluff that
@@ -189,7 +207,7 @@ def _flood_whole(msg, protocol, watched, censor, obs):
     msg.source = None
     if msg.seq == end and len(msg.queue) == end - start:
         msg.queue.clear()
-        protocol.flood(msg, t, node, watched, censor, obs)
+        protocol.flood(msg, t, node, censor)
 
 
 @dataclass
@@ -198,14 +216,15 @@ class SimulationRun:
 
     Message i has id i. protocol and adversary (or None) are the objects the
     run used, which the evaluator reads; they take no part in equality.
-    observations holds each message's observation log (empty without adversary).
+    keys holds each message's (first_reach, first_sent) pair, the estimators'
+    input (see run_message); it is empty without adversary.
     """
 
     protocol: object = field(compare=False, repr=False)
     adversary: object = field(compare=False, repr=False)
     originators: list = field(default_factory=list)
     spread_ratios: list = field(default_factory=list)
-    observations: list = field(default_factory=list)
+    keys: list = field(default_factory=list)
     messages: list = field(default_factory=list)  # only if keep_messages
 
 
@@ -218,6 +237,8 @@ class Simulation:
     to re-drawing until an honest node comes up, with a deterministic draw
     count). Each message gets its own RNG stream derived from (seed, message
     id), so message order never leaks randomness across messages.
+    keep_messages keeps each message with its events, and so fills the
+    adversary's observation logs.
     """
 
     def __init__(self, protocol, adversary=None, num_messages=1, seed=0,
@@ -232,9 +253,6 @@ class Simulation:
         self.keep_messages = keep_messages
         graph = protocol.graph
         adv_nodes = adversary.nodes if adversary is not None else _EMPTY
-        if adv_nodes and max(adv_nodes) >= graph.n:
-            raise ParameterError(f"adversarial node {max(adv_nodes)} out of range for "
-                                 f"the protocol's graph (n={graph.n})")
         if adversary is not None and adversary.graph is not graph:
             raise ParameterError("the adversary was placed on another graph than "
                                  "the protocol's")
@@ -271,7 +289,7 @@ class Simulation:
             result.originators.append(originator)
             result.spread_ratios.append(msg.spread_ratio)
             if self.adversary is not None:
-                result.observations.append(self.adversary.observations(mid))
+                result.keys.append((msg.first_reach, msg.first_sent))
             if self.keep_messages:
                 result.messages.append(msg)
         return result

@@ -1,61 +1,37 @@
 """Originator estimators: turn one message's observations into a candidate
 distribution over honest nodes.
 
-Observations are the adversary's log entries, the engine's delivery tuples
-(arrival, sender, observer, phase). A circuit-phase delivery is unlinkable:
-the observer holds an opaque layered payload and cannot tie the sender to
-the message, so both base estimators skip it. Each returns one sender, or
-None when no linkable observation has an honest sender. first-reach picks the
-sender of the earliest linkable observation, first-sent subtracts the known
-channel latency from every observation and picks the sender with the earliest
-estimated send time. A protocol-aware adversary then spreads that point mass
-backward over the anonymity graph: the likelihood that the message started k
-stem hops behind the presumed broadcaster is geometric in k under the
-protocol's own coin. A distribution is a {node: probability} dict.
+The engine folds each message's observations into its keys (see
+engine.run_message). A circuit-phase delivery is unlinkable: the observer
+holds an opaque layered payload and cannot tie the sender to the message, so
+neither key counts it, nor a delivery from the adversary's own nodes. Each
+base estimator returns one sender, or None. first-reach picks the sender of
+the earliest arrival, first-sent subtracts the known channel latency from
+every arrival and picks the sender with the earliest estimated send time;
+ties go to the lowest sender. A protocol-aware adversary then spreads that
+point mass backward over the anonymity graph: the likelihood that the message
+started k stem hops behind the presumed broadcaster is geometric in k under
+the protocol's own coin. A distribution is a {node: probability} dict.
 """
-
-from bisect import bisect_left
 
 import numpy as np
 
-from .engine import PHASE_CIRCUIT
 from .errors import ParameterError
 
 _EMPTY = frozenset()
 
 
-def estimate_first_reach(observations, exclude=_EMPTY):
-    """Sender of the earliest linkable observation, or None.
-
-    Ties on arrival break to the lowest sender id. Senders in `exclude`
-    (the adversary's own nodes) are never candidates.
-    """
-    first = min((o for o in observations
-                 if o[3] != PHASE_CIRCUIT and o[1] not in exclude), default=None)
-    return None if first is None else first[1]
+def estimate_first_reach(keys):
+    """Sender of the earliest arrival, from a message's (first_reach, first_sent)."""
+    first_reach, _ = keys
+    return None if first_reach is None else first_reach[1]
 
 
-def estimate_first_sent(observations, graph, exclude=_EMPTY):
-    """Sender with the earliest estimated send time, or None.
-
-    Send time is arrival minus the latency of the (sender, observer) channel,
-    which the observer knows for its own links, so every linkable observation
-    must come over an edge (as engine deliveries do); ParameterError otherwise.
-    Ties break to the lowest sender id.
-    """
-    adj = graph.adj
-    best = None
-    for arrival, sender, observer, phase in observations:
-        if phase == PHASE_CIRCUIT or sender in exclude:
-            continue
-        row = adj[observer]  # not the sender's: the few observer rows stay in cache
-        i = bisect_left(row, (sender,))
-        if i == len(row) or row[i][0] != sender:
-            raise ParameterError(f"observer {observer} has no edge to sender {sender}")
-        key = (arrival - row[i][1], sender)
-        if best is None or key < best:
-            best = key
-    return None if best is None else best[1]
+def estimate_first_sent(keys):
+    """Sender of the earliest send time (arrival minus the latency the observer
+    knows for its link), from a message's (first_reach, first_sent)."""
+    _, first_sent = keys
+    return None if first_sent is None else first_sent[1]
 
 
 def refine_dandelion(v, anonymity, p, exclude=_EMPTY, stem_cap=40):

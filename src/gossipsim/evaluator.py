@@ -130,10 +130,10 @@ def compute_report(dists, originators, spread_ratios, num_honest, estimator=""):
 def build_distributions(run, estimator):
     """Per-message candidate distributions for one estimator.
 
-    Reads the observation logs, the adversary, the protocol and its graph
-    from the run. Applies the anonymity-graph refinement when the protocol
-    has a stem and the adversary is protocol-aware. Returns a list aligned
-    with the run's messages; None marks messages with no usable observation.
+    Reads the per-message keys, the adversary and the protocol from the
+    run. Applies the anonymity-graph refinement when the protocol has a stem
+    and the adversary is protocol-aware. Returns a list aligned with the
+    run's messages; None marks messages with no usable observation.
     """
     if estimator not in ESTIMATORS:
         raise ParameterError(f"unknown estimator {estimator!r}")
@@ -144,11 +144,11 @@ def build_distributions(run, estimator):
     exclude = adversary.nodes
     refine = adversary.protocol_aware and getattr(protocol, "anonymity", None) is not None
     dists = []
-    for obs in run.observations:
+    for keys in run.keys:
         if estimator == "first_reach":
-            v = estimate_first_reach(obs, exclude=exclude)
+            v = estimate_first_reach(keys)
         else:
-            v = estimate_first_sent(obs, protocol.graph, exclude=exclude)
+            v = estimate_first_sent(keys)
         if v is None:
             dists.append(None)
         elif refine:

@@ -17,7 +17,6 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heappush
-from itertools import repeat
 
 import numpy as np
 
@@ -159,9 +158,6 @@ class BroadcastProtocol:
         self._fan = [math.isqrt(len(row) - 1) + 1 if row else 0 for row in graph.adj]
         # Random.sample's branch switch, indexed by fanout
         self._setsize = [_sample_setsize(c) for c in range(max(self._fan, default=0) + 1)]
-        # one Python int per node, shared by the entries flood() writes: a
-        # fresh int per entry made a 20-message log at 1000/50 45% larger
-        self._ids = np.arange(graph.n).astype(object)
 
     def on_spawn(self, msg):
         self.fluff(msg, 0.0, msg.originator, -1)
@@ -242,14 +238,15 @@ class BroadcastProtocol:
             seq += 1
         msg.seq = seq
 
-    def flood(self, msg, t, source, watched, censor, log):
+    def flood(self, msg, t, source, censor):
         """The whole mode 'all' flood that fluff(msg, t, source, -1) starts, in one pass.
 
         run_message calls this in place of popping the flood's deliveries
         (see its _flood_whole). It writes what popping them writes: a first
-        receipt for every reached node that has none yet, and, when log is a
-        list, each broadcast delivery at a watched node, appended in delivery
-        order. censor makes watched nodes sinks, as an active adversary does.
+        receipt for every reached node that has none yet, and the broadcast
+        deliveries at msg.watched nodes merged into msg.first_reach and
+        msg.first_sent. censor makes watched nodes sinks, as an active
+        adversary does.
 
         Arrivals: d[source] = t and d[x] = min over forwarding neighbours y of
         fl(d[y] + w(y, x)), found by relaxing rows until no arrival falls
@@ -260,25 +257,25 @@ class BroadcastProtocol:
         that y does not send back to, is y's tight parent (fl(d[z] + w) ==
         d[y]) of lowest rank. Where arrivals are distinct both follow from d;
         tied arrivals, and nodes with several tight parents, are resolved in
-        Python, group by group in increasing d.
+        Python, group by group in increasing d (_pop_order).
         """
         n = self.graph.n
         csr = self.graph.csr_arrays()
+        watched = msg.watched
         adv = np.zeros(n, dtype=bool)
         adv[list(watched)] = True
         forwards = ~adv if censor else np.ones(n, dtype=bool)
         forwards[source] = True
         d = _arrivals(*csr, source, t, forwards)
-        forwarded = forwards & (d < np.inf)
-        pred, rank = _pop_order(*csr, d, forwarded)
-        if log is not None and watched:
-            at, frm, to = _logged(*csr, d, forwarded, adv, pred, rank)
-            ids = self._ids
-            log.extend(zip(at.tolist(), ids[frm].tolist(), ids[to].tolist(),
-                           repeat(PHASE_BROADCAST)))
+        if watched:
+            forwarded = forwards & (d < np.inf)
+            reach, sent = _observed_keys(*csr, d, forwarded, adv,
+                                         _pop_order(*csr, d, forwarded))
+            msg.first_reach = min(filter(None, (msg.first_reach, reach)), default=None)
+            msg.first_sent = min(filter(None, (msg.first_sent, sent)), default=None)
         first_receipt = msg.first_receipt
         hit = np.flatnonzero(d < np.inf)
-        for x, dx in zip(self._ids[hit].tolist(), d[hit].tolist()):
+        for x, dx in zip(hit.tolist(), d[hit].tolist()):
             first_receipt.setdefault(x, dx)
 
 
@@ -316,8 +313,8 @@ def _arrivals(indptr, indices, lats, source, t, forwards):
 
 
 def _pop_order(indptr, indices, lats, d, forwarded):
-    """pred and rank of each forwarding node: its tight parent of lowest
-    rank (-1 at the source) and its position in the order nodes forward."""
+    """pred of each forwarding node: its tight parent of lowest rank (-1 at
+    the source), where rank is a node's position in the order nodes forward."""
     n = len(d)
     # tight entries, 128 rows at a time: whole-graph temporaries raised the
     # sweep's peak RSS by over a MB. np.repeat over rows and np.take are
@@ -347,13 +344,13 @@ def _pop_order(indptr, indices, lats, d, forwarded):
     unresolved[1:] |= same
     unresolved[:-1] |= same
     if unresolved.any():
-        pred, rank = _resolve_ties(order, level, unresolved, pred, rank,
-                                   children, parents, several)
-    return pred, rank
+        pred = _resolve_ties(order, level, unresolved, pred, rank,
+                             children, parents, several)
+    return pred
 
 
 def _resolve_ties(order, level, unresolved, pred, rank, children, parents, several):
-    """pred and rank where arrivals tie or a node has several tight parents.
+    """pred where arrivals tie or a node has several tight parents.
 
     order lists the forwarding nodes by d, in any order within equal d,
     and level is their d; unresolved marks the positions of tied arrivals
@@ -385,31 +382,31 @@ def _resolve_ties(order, level, unresolved, pred, rank, children, parents, sever
             for r, x in enumerate(group, positions[i]):
                 rank_of[x] = r
         i = j
-    return np.array(pred_of, dtype=np.intp), np.array(rank_of, dtype=np.intp)
+    return np.array(pred_of, dtype=np.intp)
 
 
-def _logged(indptr, indices, lats, d, forwarded, adv, pred, rank):
-    """(arrival, sender, observer) arrays of the broadcast deliveries at
-    adversarial nodes, in the order the engine pops them: by arrival, then
-    sender rank, then observer. A sender skips its pred."""
-    entries = np.flatnonzero(np.repeat(forwarded, np.diff(indptr))
+def _observed_keys(indptr, indices, lats, d, forwarded, adv, pred):
+    """(first_reach, first_sent) of the broadcast deliveries from honest
+    senders at adversarial nodes; None for both when there are none.
+
+    A forwarding sender skips its pred. A delivery arrives at d[sender] + w
+    and was sent, as its observer reckons, at that arrival minus w (latencies
+    are symmetric, so w is also the observer's). Ties go to the lowest sender.
+    """
+    entries = np.flatnonzero(np.repeat(forwarded & ~adv, np.diff(indptr))
                              & np.take(adv, indices))
     frm = np.searchsorted(indptr, entries, side="right") - 1
-    to = np.take(indices, entries)
-    keep = to != pred[frm]
-    frm, to = frm[keep], to[keep]
-    at = d[frm] + lats[entries[keep]]
-    order = np.argsort(at)
-    at_sorted = at[order]
-    same = at_sorted[1:] == at_sorted[:-1]
-    if same.any():
-        # sorting the tied runs whole also fixes argsort's order inside them
-        tied = np.zeros(len(order), dtype=bool)
-        tied[1:] = same
-        tied[:-1] |= same
-        sub = order[tied]
-        order[tied] = sub[np.lexsort((to[sub], rank[frm[sub]], at[sub]))]
-    return at[order], frm[order], to[order]
+    keep = np.take(indices, entries) != pred[frm]
+    if not keep.any():
+        return None, None
+    frm, w = frm[keep], lats[entries[keep]]
+    at = d[frm] + w
+    return _least_key(at, frm), _least_key(at - w, frm)
+
+
+def _least_key(times, senders):
+    low = times.min()
+    return float(low), int(senders[times == low].min())
 
 
 class DandelionProtocol(BroadcastProtocol):

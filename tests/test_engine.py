@@ -16,6 +16,7 @@ from gossipsim.graphs import (NetworkGraph, WeightGeneratorSpec,
                               assign_weights, gen_random_regular,
                               gen_scale_free)
 from gossipsim.protocols import ProtocolConfig, make_protocol
+from reference import fold_log
 
 
 def path_graph():
@@ -38,7 +39,7 @@ class TestRunMessage:
         proto = broadcast_all(graph)
         adv = Adversary(graph, AdversaryConfig(nodes=(1,), active=True))
         msg = run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
-                          adversary=adv)
+                          adversary=adv, keep_events=True)
         assert msg.first_receipt == {0: 0.0, 1: 50.0}
         assert msg.spread_ratio == pytest.approx(2.0 / 3.0)
         # the delivery itself was still observed
@@ -130,6 +131,8 @@ class TestWholeFlood:
     """A fresh mode 'all' flood is computed in one pass unless events are kept."""
 
     def run_both(self, graph, adversary_nodes, monkeypatch):
+        """First receipts and keys of the pass and of popping, which agree,
+        and the log the popping run kept."""
         proto = broadcast_all(graph)
         calls = []
         flood = proto.flood
@@ -139,23 +142,24 @@ class TestWholeFlood:
             adv = Adversary(graph, AdversaryConfig(nodes=adversary_nodes))
             msg = run_message(spawn_message(0, proto, rng=random.Random(0)),
                               proto, adversary=adv, keep_events=keep)
-            out.append((msg.first_receipt, adv.observations(0)))
+            out.append((msg.first_receipt, (msg.first_reach, msg.first_sent)))
         assert len(calls) == 1
-        return out
+        assert out[0] == out[1]
+        return out[0][1], adv.observations(0)
 
     def test_tied_parents_pred_is_first_forwarder(self, monkeypatch):
         # 1 and 2 both reach 3 at 2.0; 1 forwarded first, so 3 sends back to 2
         graph = NetworkGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-        whole, popped = self.run_both(graph, (2,), monkeypatch)
-        assert whole == popped
-        assert whole[1] == [(1.0, 0, 2, PHASE_BROADCAST), (3.0, 3, 2, PHASE_BROADCAST)]
+        keys, log = self.run_both(graph, (2,), monkeypatch)
+        assert log == [(1.0, 0, 2, PHASE_BROADCAST), (3.0, 3, 2, PHASE_BROADCAST)]
+        assert keys == fold_log(log, graph, {2})
 
     def test_tied_arrivals_logged_in_sender_order(self, monkeypatch):
         # both deliveries arrive at 2.0: sender 1 forwarded before sender 2
         graph = NetworkGraph(5, [(0, 1), (0, 2), (1, 4), (2, 3)])
-        whole, popped = self.run_both(graph, (3, 4), monkeypatch)
-        assert whole == popped
-        assert whole[1] == [(2.0, 1, 4, PHASE_BROADCAST), (2.0, 2, 3, PHASE_BROADCAST)]
+        keys, log = self.run_both(graph, (3, 4), monkeypatch)
+        assert log == [(2.0, 1, 4, PHASE_BROADCAST), (2.0, 2, 3, PHASE_BROADCAST)]
+        assert keys == fold_log(log, graph, {3, 4}) == ((2.0, 1), (1.0, 1))
 
     @pytest.mark.parametrize("kind", ["broadcast", "dandelion_pp"])
     @pytest.mark.parametrize("active", [False, True])
@@ -173,12 +177,8 @@ class TestWholeFlood:
                                                 rng=random.Random(mid)),
                                   proto, adversary=adv, keep_events=keep)
                 runs.append((msg.first_receipt, msg.spread_ratio, msg.rng.getstate(),
-                             adv.observations(mid)))
+                             msg.first_reach, msg.first_sent))
             assert runs[0] == runs[1]
-            # the pass's entries share one int per node: a fresh int per entry
-            # made a 20-message log about 45% larger
-            whole_log = runs[0][3]
-            assert len({id(x) for entry in whole_log for x in entry[1:3]}) <= graph.n
 
     def test_other_queued_work_stays_on_the_heap(self, monkeypatch):
         graph = NetworkGraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
@@ -310,7 +310,7 @@ class TestSimulation:
         assert not set(run.originators) & set(adv.nodes)
 
     def test_reused_adversary_harmless(self):
-        # each run owns its logs: a second run on the same adversary neither
+        # each run owns its keys: a second run on the same adversary neither
         # changes the first run's results nor inherits its observations
         graph = gen_random_regular(20, 4, seed=0)
         proto = broadcast_all(graph)
@@ -321,17 +321,23 @@ class TestSimulation:
         assert {e: evaluate(first, e) for e in ESTIMATORS} == before
         fresh = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
         alone = Simulation(proto, adversary=fresh, num_messages=3, seed=1).run()
-        assert second.observations == alone.observations
+        assert second.keys == alone.keys
         for e in ESTIMATORS:
             assert evaluate(second, e) == evaluate(alone, e)
 
     def test_observations_align_with_originators(self):
         graph = gen_random_regular(20, 4, seed=0)
         adv = Adversary(graph, AdversaryConfig(ratio=0.2), seed=0)
+        kept = Simulation(broadcast_all(graph), adversary=adv, num_messages=4,
+                          keep_messages=True).run()
+        logs = [adv.observations(mid) for mid in range(4)]
+        assert kept.keys == [fold_log(log, graph, adv.nodes) for log in logs]
         run = Simulation(broadcast_all(graph), adversary=adv, num_messages=4).run()
-        assert len(run.observations) == len(run.originators) == 4
-        assert [adv.observations(mid) for mid in range(4)] == run.observations
-        assert Simulation(broadcast_all(graph), num_messages=4).run().observations == []
+        assert len(run.keys) == len(run.originators) == 4
+        assert run.keys == kept.keys
+        # a run without kept messages opens fresh logs and fills none
+        assert [adv.observations(mid) for mid in range(4)] == [[]] * 4
+        assert Simulation(broadcast_all(graph), num_messages=4).run().keys == []
 
     def test_adversary_outside_protocol_graph_rejected(self):
         small = broadcast_all(gen_random_regular(20, 4, seed=0))

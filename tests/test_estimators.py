@@ -1,18 +1,22 @@
-"""Tests for originator estimators: point-mass picks, the anonymity-graph
-refinement and its worked numeric cases."""
+"""Tests for originator estimators: point-mass picks from the keys the engine
+folds on small hand-built runs, the anonymity-graph refinement and its worked
+numeric cases."""
+
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gossipsim.engine import PHASE_BROADCAST, PHASE_CIRCUIT
+from gossipsim.adversary import Adversary, AdversaryConfig
+from gossipsim.engine import PHASE_BROADCAST, PHASE_CIRCUIT, SimMessage, run_message
 from gossipsim.errors import ParameterError
 from gossipsim.estimators import (estimate_first_reach, estimate_first_sent,
                                   refine_dandelion)
 from gossipsim.evaluator import _entropy_of
 from gossipsim.graphs import NetworkGraph
-from gossipsim.protocols import AnonymityGraph
+from gossipsim.protocols import AnonymityGraph, ProtocolConfig, make_protocol
 
 
 def single_relay_refine(v, s0, p, exclude, stem_cap):
@@ -42,28 +46,49 @@ def one_relay_overlays(draw):
 
 
 def obs(sender, arrival, observer=0, phase=PHASE_BROADCAST):
-    """One logged delivery; a circuit phase makes it unlinkable."""
+    """One delivery; a circuit phase makes it unlinkable."""
     return (arrival, sender, observer, phase)
 
 
+def observed(graph, watched, deliveries):
+    """The (first_reach, first_sent) keys the engine folds from a message
+    whose only deliveries are the given ones, all to nodes of an active
+    adversary holding `watched`, which stops each of them."""
+    adversary = Adversary(graph, AdversaryConfig(nodes=watched, active=True))
+    originator = min(set(range(graph.n)) - set(watched))
+    msg = SimMessage(0, originator, random.Random(0))
+    for arrival, sender, observer, phase in deliveries:
+        msg.push(arrival, sender, observer, phase, 0)
+    run_message(msg, make_protocol(graph, ProtocolConfig()), adversary)
+    return msg.first_reach, msg.first_sent
+
+
 class TestFirstReach:
+    def observed(self, *deliveries):
+        # observer 0 sees every sender; node 2 is the adversary's own
+        complete = NetworkGraph(10, [(u, v) for v in range(10) for u in range(v)])
+        return observed(complete, (0, 2), deliveries)
+
     def test_earliest_arrival_wins(self):
-        assert estimate_first_reach([obs(5, 50.0), obs(7, 70.0)]) == 5
+        assert estimate_first_reach(self.observed(obs(5, 50.0), obs(7, 70.0))) == 5
 
     def test_arrival_tie_breaks_low_sender(self):
-        assert estimate_first_reach([obs(9, 50.0), obs(4, 50.0)]) == 4
+        keys = self.observed(obs(9, 50.0), obs(4, 50.0))
+        assert keys[0] == (50.0, 4)
+        assert estimate_first_reach(keys) == 4
 
     def test_unlinkable_skipped(self):
         circuit = obs(3, 10.0, phase=PHASE_CIRCUIT)
-        assert estimate_first_reach([circuit, obs(8, 99.0)]) == 8
-        assert estimate_first_reach([circuit]) is None
+        assert estimate_first_reach(self.observed(circuit, obs(8, 99.0))) == 8
+        assert estimate_first_reach(self.observed(circuit)) is None
 
     def test_adversarial_senders_excluded(self):
-        assert estimate_first_reach([obs(2, 10.0), obs(6, 20.0)], exclude={2}) == 6
-        assert estimate_first_reach([obs(2, 10.0)], exclude={2}) is None
+        assert estimate_first_reach(self.observed(obs(2, 10.0), obs(6, 20.0))) == 6
+        assert estimate_first_reach(self.observed(obs(2, 10.0))) is None
 
     def test_no_observations(self):
-        assert estimate_first_reach([]) is None
+        assert self.observed() == (None, None)
+        assert estimate_first_reach(self.observed()) is None
 
 
 class TestFirstSent:
@@ -73,35 +98,31 @@ class TestFirstSent:
                             latencies=[80.0, 10.0, 1.0])
 
     def test_send_time_beats_arrival_time(self):
-        observations = [obs(0, 100.0, observer=1), obs(2, 60.0, observer=3)]
-        reach = estimate_first_reach(observations)
-        sent = estimate_first_sent(observations, self.graph())
-        assert reach == 2  # earliest arrival
-        assert sent == 0   # earliest send: 100-80=20 < 60-10=50
+        keys = observed(self.graph(), (1, 3),
+                        [obs(0, 100.0, observer=1), obs(2, 60.0, observer=3)])
+        assert keys == ((60.0, 2), (20.0, 0))
+        assert estimate_first_reach(keys) == 2  # earliest arrival
+        assert estimate_first_sent(keys) == 0   # earliest send: 100-80=20 < 60-10=50
 
     def test_send_tie_breaks_low_sender(self):
-        observations = [obs(2, 30.0, observer=3), obs(0, 100.0, observer=1)]
+        keys = observed(self.graph(), (1, 3),
+                        [obs(2, 30.0, observer=3), obs(0, 100.0, observer=1)])
         # both sent at t=20
-        assert estimate_first_sent(observations, self.graph()) == 0
+        assert keys[1] == (20.0, 0)
+        assert estimate_first_sent(keys) == 0
 
     def test_matches_first_reach_on_unit_latencies(self):
         graph = NetworkGraph(4, [(0, 1), (2, 3), (1, 3)])
-        observations = [obs(0, 7.0, observer=1), obs(2, 5.0, observer=3),
-                        obs(3, 6.0, observer=1)]
-        reach = estimate_first_reach(observations)
-        sent = estimate_first_sent(observations, graph)
-        assert reach == sent == 2
-
-    def test_sender_must_be_observer_neighbor(self):
-        path = NetworkGraph(4, [(0, 1), (1, 2), (2, 3)], latencies=[5.0, 7.0, 9.0])
-        with pytest.raises(ParameterError):
-            estimate_first_sent([obs(0, 20.0, observer=2)], path)  # not edge (2, 1)
-        with pytest.raises(ParameterError):
-            estimate_first_sent([obs(3, 20.0, observer=1)], path)  # past the row's end
+        keys = observed(graph, (1, 3), [obs(0, 7.0, observer=1), obs(2, 5.0, observer=3),
+                                        obs(3, 6.0, observer=1)])
+        assert keys == ((5.0, 2), (4.0, 2))
+        assert estimate_first_reach(keys) == estimate_first_sent(keys) == 2
 
     def test_no_usable_observation(self):
         circuit = obs(0, 5.0, observer=1, phase=PHASE_CIRCUIT)
-        assert estimate_first_sent([circuit], self.graph()) is None
+        keys = observed(self.graph(), (1, 3), [circuit])
+        assert keys == (None, None)
+        assert estimate_first_sent(keys) is None
 
 
 class TestRefine:

@@ -1,6 +1,7 @@
 """Property tests: the relax-and-skip fluff phase gives the same run as
-queueing every duplicate, the whole-flood pass gives the same run as popping
-every event, a flood to all is a shortest-path computation, the
+queueing every duplicate, the keys the engine folds equal a scan of the full
+observation log, the whole-flood pass gives the same run as popping every
+event, a flood to all is a shortest-path computation, the
 circuit hop search equals scipy's dijkstra, the same seed gives the same run,
 refined candidate distributions are normalised over honest nodes and ranks
 stay within the honest node count."""
@@ -19,12 +20,14 @@ from scipy.sparse.csgraph import dijkstra
 from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.engine import (PHASE_BROADCAST, Simulation, run_message,
                               spawn_message)
-from gossipsim.estimators import refine_dandelion
+from gossipsim.estimators import (estimate_first_reach, estimate_first_sent,
+                                  refine_dandelion)
 from gossipsim.evaluator import rank_of
 from gossipsim.graphs import (ShortestPaths, WeightGeneratorSpec, assign_weights,
                               gen_random_regular, gen_scale_free)
 from gossipsim.protocols import (PROTOCOL_KINDS, STEM_KINDS, ProtocolConfig,
                                  build_anonymity_graph, make_protocol)
+from reference import fold_log
 
 
 @st.composite
@@ -112,7 +115,12 @@ def reference_run(protocol, adversary, originator, mid, rng):
 
 def check_against_reference(kind, mode, adversary_kind, graph, seed, ratio, probability,
                             stem_cap, pick):
-    """Three messages through the engine and through reference_run agree."""
+    """Three messages through the engine and through reference_run agree.
+
+    Each message runs with and without keep_events: both give the reference's
+    first receipts, spread, rng state and the keys folded from its full log;
+    the run that keeps its events also logs the same deliveries.
+    """
     cfg = ProtocolConfig(kind=kind, broadcast_mode=mode,
                          broadcast_probability=probability, stem_cap=stem_cap)
     proto = make_protocol(graph, cfg, seed=seed)
@@ -120,17 +128,27 @@ def check_against_reference(kind, mode, adversary_kind, graph, seed, ratio, prob
     adv = adversary_for(graph, adversary_kind, ratio, seed)
     ref_adv = adversary_for(graph, adversary_kind, ratio, seed)
     honest = honest_nodes(graph, adv)
+    watched = adv.nodes if adv is not None else frozenset()
     for mid in range(3):
         originator = honest[(pick + 7 * mid) % len(honest)]
-        msg = run_message(spawn_message(originator, proto, mid=mid,
-                                        rng=random.Random(seed + mid)), proto, adv)
         ref = reference_run(ref_proto, ref_adv, originator, mid,
                             random.Random(seed + mid))
-        assert msg.first_receipt == ref.first_receipt
-        assert msg.spread_ratio == ref.spread_ratio
-        assert msg.rng.getstate() == ref.rng.getstate()
-        if adv is not None:
-            assert adv.observations(mid) == ref_adv.observations(mid)
+        ref_log = ref_adv.observations(mid) if ref_adv is not None else []
+        ref_keys = fold_log(ref_log, graph, watched)
+        for keep in (False, True):
+            msg = run_message(spawn_message(originator, proto, mid=mid,
+                                            rng=random.Random(seed + mid)),
+                              proto, adv, keep_events=keep)
+            assert msg.first_receipt == ref.first_receipt
+            assert msg.spread_ratio == ref.spread_ratio
+            assert msg.rng.getstate() == ref.rng.getstate()
+            keys = (msg.first_reach, msg.first_sent)
+            assert keys == ref_keys
+            # estimating from the keys is estimating from the full log
+            for estimate in (estimate_first_reach, estimate_first_sent):
+                assert estimate(keys) == estimate(ref_keys)
+            if adv is not None:
+                assert adv.observations(mid) == (ref_log if keep else [])
 
 
 @pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])
@@ -155,7 +173,7 @@ def test_skipping_duplicates_changes_nothing(kind, mode, adversary_kind, graph, 
 def test_whole_flood_equals_popping_every_event(kind, adversary_kind, graph, seed, ratio,
                                                  probability, stem_cap, pick):
     """keep_events=False (the whole-flood pass where it applies) and True
-    (every event popped) give the same message and log."""
+    (every event popped) give the same message and keys."""
     cfg = ProtocolConfig(kind=kind, broadcast_mode="all",
                          broadcast_probability=probability, stem_cap=stem_cap)
     protocol = make_protocol(graph, cfg, seed=seed)
@@ -174,7 +192,7 @@ def test_whole_flood_equals_popping_every_event(kind, adversary_kind, graph, see
                                             rng=random.Random(seed + mid)),
                               protocol, adv, keep_events=keep)
             runs.append((msg.first_receipt, msg.spread_ratio, msg.rng.getstate(),
-                         adv.observations(mid) if adv is not None else None))
+                         msg.first_reach, msg.first_sent))
         assert runs[0] == runs[1]
         # the pass ran exactly when a flood started
         flooded = any(e[3] == PHASE_BROADCAST for e in msg.events)
