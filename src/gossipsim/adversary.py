@@ -82,7 +82,9 @@ class Adversary:
     """Holds the adversarial nodes and the latest observation log per message id.
 
     graph is the network the nodes were placed on; a simulation accepts the
-    adversary only on that same graph object.
+    adversary only on that same graph object. max_latency is the longest
+    link at an adversarial node (0.0 without nodes): a delivery observed at
+    time t was sent at t - max_latency or later.
     """
 
     def __init__(self, graph, config, seed=0):
@@ -90,6 +92,7 @@ class Adversary:
         self.active = config.active
         self.protocol_aware = config.protocol_aware
         self.nodes = frozenset(place_adversaries(graph, config, seed))
+        self.max_latency = max((l for a in self.nodes for _, l in graph.adj[a]), default=0.0)
         self._logs = {}
 
     def open_log(self, message_id):

@@ -13,15 +13,18 @@ The fluff phase is label-setting, as in Dijkstra's algorithm: a broadcast
 delivery to an honest node is queued only if it is earlier than every
 delivery already queued for that node and the node has not yet forwarded.
 Such a delivery would pop after the earlier one and change nothing, so the
-run is the same as if every duplicate were queued. Deliveries to adversarial
-nodes are always queued, so the adversary sees each one in delivery order.
-Stem and circuit deliveries are always queued too: they flip coins even when
-they reach a node twice.
+run is the same as if every duplicate were queued. Broadcast deliveries to
+adversarial nodes are queued all the same when events are kept, so the
+adversary logs each one in delivery order. Stem and circuit deliveries are
+always queued: they flip coins even when they reach a node twice.
 
-A mode 'all' flood from a fresh source is not popped at all unless events are
-kept: when the queue holds nothing but that flood's first fanout, run_message
-hands it to protocol.flood, one array pass that writes the same first
-receipts and keys (see _flood_whole).
+Unless events are kept, two passes replace popping duplicates. A sqrt-mode
+message is drained by _fluff_sqrt, which makes fluff's draws inline and
+counts each send to an adversarial node towards the keys as it is sent, so
+that it queues no duplicate at all. A mode 'all' flood from a fresh source
+is not popped at all: when the queue holds nothing but that flood's first
+fanout, run_message hands it to protocol.flood, one array pass that writes
+the same first receipts and keys (see _flood_whole).
 """
 
 import heapq
@@ -66,7 +69,8 @@ class SimMessage:
     without push must advance it the same way. fluff_arrival maps node ->
     earliest broadcast delivery queued for it, or -inf once the node has
     fanned the message out. watched is the adversarial node set, whose
-    broadcast deliveries are queued even when they cannot improve an arrival;
+    broadcast deliveries fluff queues even when they cannot improve an
+    arrival (the sqrt pass counts them as it sends, and queues none);
     run_message sets it before draining the queue. events lists the popped
     events when run_message is asked to keep them. source is (t, node, start,
     end) once a mode 'all' fluff has started the message's first flood with
@@ -136,9 +140,12 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     circuit delivery to protocol.on_hop(msg, t, to, hop). A broadcast
     duplicate to an honest node that cannot improve its arrival is never
     queued (see the module docstring), so keep_events lists the popped
-    events, not every send. Without keep_events, a fresh mode 'all' flood
-    that is all the queue holds, after spawn or after an on_hop, is computed
-    whole by protocol.flood(msg, t, node, censor) and never popped.
+    events, not every send. Without keep_events, a sqrt-mode message is
+    drained by _fluff_sqrt, which counts each broadcast send to an
+    adversarial node as it is sent and queues no duplicate, and a fresh
+    mode 'all' flood that is all the queue holds, after spawn or after an
+    on_hop, is computed whole by protocol.flood(msg, t, node, censor) and
+    never popped.
     """
     if keep_events:
         msg.events = []
@@ -151,14 +158,18 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
         adv_nodes = adversary.nodes
         log = adversary.open_log(msg.mid).append
         censor = adversary.active
+        longest = adversary.max_latency
         adj = protocol.graph.adj
     else:
         adv_nodes = _EMPTY
         censor = False
+        adj = longest = None  # read only at adversarial nodes
     # set only now: spawn sends to each node at most once, so it sent no duplicate
     msg.watched = adv_nodes
     whole = not keep_events
-    if whole and msg.source is not None:
+    if whole and not protocol.mode_all:
+        _fluff_sqrt(msg, protocol, censor, adj, longest)  # drains the queue
+    elif whole and msg.source is not None:
         _flood_whole(msg, protocol, censor)
     reach, sent = msg.first_reach, msg.first_sent
     while queue:
@@ -173,10 +184,13 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
             if phase != PHASE_CIRCUIT and frm not in adv_nodes:
                 if reach is None or t <= reach[0] and (t, frm) < reach:
                     reach = (t, frm)
-                row = adj[to]  # the observer's own row, as it knows its links
-                at = t - row[bisect_left(row, (frm,))][1]
-                if sent is None or at <= sent[0] and (at, frm) < sent:
-                    sent = (at, frm)
+                # sent at t - longest or later and rounding is monotone, so
+                # when t - longest is past sent[0] this cannot win
+                if sent is None or t - longest <= sent[0]:
+                    row = adj[to]  # the observer's own row, as it knows its links
+                    at = t - row[bisect_left(row, (frm,))][1]
+                    if sent is None or at <= sent[0] and (at, frm) < sent:
+                        sent = (at, frm)
             if censor:
                 continue
         if phase == PHASE_BROADCAST:
@@ -190,6 +204,75 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     msg.first_reach, msg.first_sent = reach, sent
     msg.spread_ratio = len(first_receipt) / protocol.graph.n
     return msg
+
+
+def _fluff_sqrt(msg, protocol, censor, adj, longest):
+    """Drain a sqrt-mode message's queue as run_message does, making fluff's
+    sends inline.
+
+    Pops record first receipts, count towards the keys and stop at an active
+    adversary as in run_message, and stem or circuit deliveries go to
+    protocol.on_hop. A broadcast pop at a node that has not forwarded yet
+    forwards to protocol.sample(msg.rng, node, sender), fluff's draw; at any
+    other node it does nothing. Each send from an honest node to an
+    adversarial one counts towards the keys as it is sent, with the arrival
+    and latency its pop would read (rows are symmetric). So every send, to an
+    adversarial node as to an honest one, is queued only if it is earlier
+    than all deliveries queued for its target so far: the deliveries that
+    count are those of queueing every duplicate, the first to pop at a node
+    is still its least (t, seq) one, and the pushes left out do not reorder
+    the rest. A stem or circuit exit's fanout (fluff's) and stem hops still
+    count when they pop. adj and longest are run_message's.
+    """
+    adv_nodes = msg.watched
+    queue = msg.queue
+    first_receipt = msg.first_receipt
+    arrival = msg.fluff_arrival
+    rng = msg.rng
+    sample = protocol.sample
+    pop = heapq.heappop
+    push = heapq.heappush
+    inf = math.inf
+    reach, sent = msg.first_reach, msg.first_sent
+    seq = msg.seq
+    while queue:
+        t, _seq, frm, to, phase, hop = pop(queue)
+        if to not in first_receipt:
+            first_receipt[to] = t
+        if to in adv_nodes:
+            if phase != PHASE_CIRCUIT and frm not in adv_nodes:
+                if reach is None or t <= reach[0] and (t, frm) < reach:
+                    reach = (t, frm)
+                if sent is None or t - longest <= sent[0]:
+                    row = adj[to]
+                    at = t - row[bisect_left(row, (frm,))][1]
+                    if sent is None or at <= sent[0] and (at, frm) < sent:
+                        sent = (at, frm)
+            if censor:
+                continue
+        if phase != PHASE_BROADCAST:
+            msg.seq = seq  # a stem or circuit exit pushes its fanout with msg.seq
+            protocol.on_hop(msg, t, to, hop)
+            seq = msg.seq
+            continue
+        if arrival.get(to) == FORWARDED:
+            continue
+        arrival[to] = FORWARDED
+        honest = to not in adv_nodes
+        for w, lat in sample(rng, to, frm):
+            at = t + lat
+            if honest and w in adv_nodes:
+                if reach is None or at <= reach[0] and (at, to) < reach:
+                    reach = (at, to)
+                back = at - lat
+                if sent is None or back <= sent[0] and (back, to) < sent:
+                    sent = (back, to)
+            if at < arrival.get(w, inf):
+                arrival[w] = at
+                push(queue, (at, seq, to, w, PHASE_BROADCAST, 0))
+                seq += 1
+    msg.seq = seq
+    msg.first_reach, msg.first_sent = reach, sent
 
 
 def _flood_whole(msg, protocol, censor):

@@ -436,7 +436,9 @@ def _unit_graph(n, edges):
     for u, v in edges:
         nbrs[u].append(v)
         nbrs[v].append(u)
-    rows = [[(v, 1.0) for v in sorted(row)] for row in nbrs]
+    # one (v, 1.0) entry per node, shared by every row that holds v
+    unit = [(v, 1.0) for v in range(n)]
+    rows = [[unit[v] for v in sorted(row)] for row in nbrs]
     return NetworkGraph._from_rows(n, rows, np.ones(n), [str(i) for i in range(n)])
 
 

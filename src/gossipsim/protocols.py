@@ -2,14 +2,15 @@
 two pinned relays per node, and overlay circuit routing with a broadcast exit.
 
 Every protocol ends in the broadcast (fluff) phase, BroadcastProtocol.fluff,
-which the engine calls for each broadcast delivery; a routing protocol
-subclasses BroadcastProtocol and implements only its anonymity phase
-(on_spawn and on_hop). A node forwards a message in broadcast phase at most
-once, either to all neighbors except the sender (mode 'all') or to
-ceil(sqrt(d)) neighbors sampled without replacement (mode 'sqrt', excluding
-the sender whenever the degree allows it). The sqrt sample is exactly
-random.Random.sample on the sender-free neighbor list, drawn inline from the
-message's rng.
+which the engine calls for each broadcast delivery (a sqrt run that keeps no
+events draws the fanouts with BroadcastProtocol.sample in one engine pass);
+a routing protocol subclasses BroadcastProtocol and implements only its
+anonymity phase (on_spawn and on_hop). A node forwards a message in
+broadcast phase at most once, either to all neighbors except the sender
+(mode 'all') or to ceil(sqrt(d)) neighbors sampled without replacement (mode
+'sqrt', excluding the sender whenever the degree allows it). The sqrt
+sample is exactly random.Random.sample on the sender-free neighbor list,
+drawn inline from the message's rng.
 """
 
 import math
@@ -144,11 +145,12 @@ class BroadcastProtocol:
     """Flood from the originator; nothing is hidden.
 
     Every protocol ends in this flood: the engine hands each broadcast
-    delivery to fluff, or a whole fresh mode 'all' flood to flood. A routing
-    protocol subclasses this one and adds its anonymity phase: on_spawn
-    starts the message, and on_hop(msg, t, node, hop) handles each stem or
-    circuit delivery, pushing the next hop or calling self.fluff(msg, t,
-    node, -1) to start the flood at node.
+    delivery to fluff, or a whole fresh mode 'all' flood to flood, and its
+    sqrt pass draws each fanout with sample. A routing protocol subclasses
+    this one and adds its anonymity phase: on_spawn starts the message, and
+    on_hop(msg, t, node, hop) handles each stem or circuit delivery, pushing
+    the next hop or calling self.fluff(msg, t, node, -1) to start the flood
+    at node.
     """
 
     def __init__(self, graph, config):
@@ -158,6 +160,10 @@ class BroadcastProtocol:
         self._fan = [math.isqrt(len(row) - 1) + 1 if row else 0 for row in graph.adj]
         # Random.sample's branch switch, indexed by fanout
         self._setsize = [_sample_setsize(c) for c in range(max(self._fan, default=0) + 1)]
+        if not self.mode_all:
+            # the pool branch's draw for a pool of m: index below m, of m.bit_length() bits
+            self._draws = [(m, m.bit_length())
+                           for m in range(max(map(len, graph.adj), default=0) + 1)]
 
     def on_spawn(self, msg):
         self.fluff(msg, 0.0, msg.originator, -1)
@@ -173,56 +179,20 @@ class BroadcastProtocol:
         the engine module); sqrt mode draws its sample either way. In mode
         'all', a fresh source's fanout that is the message's first also sets
         msg.source, so that run_message can hand the flood to flood().
-
-        The sqrt sample is msg.rng.sample(pool, c) on the sender-free neighbor
-        list, drawn inline: the same getrandbits calls as CPython's
-        Random.sample and _randbelow_with_getrandbits, in both of its branches,
-        so the rng ends in the same state and the targets come in the same
-        order. Sends go straight onto msg.queue with msg.seq, as msg.push does.
+        The sqrt sample is sample(msg.rng, node, sender). Sends go straight
+        onto msg.queue with msg.seq, as msg.push does.
         """
         arrival = msg.fluff_arrival
         if arrival.get(node) == FORWARDED:
             return
         arrival[node] = FORWARDED
-        adj = self.graph.adj[node]
         if self.mode_all:
-            targets, excluded = adj, sender
+            targets, excluded = self.graph.adj[node], sender
             if sender < 0 and len(arrival) == 1:
                 # the message's first fanout: every neighbour is queued
-                msg.source = (t, node, msg.seq, msg.seq + len(adj))
+                msg.source = (t, node, msg.seq, msg.seq + len(targets))
         else:
-            c = self._fan[node]
-            n = len(adj)
-            pool = adj
-            if 0 <= sender and n > c:
-                i = bisect_left(adj, (sender,))
-                pool = adj[:i] + adj[i + 1:]
-                n -= 1
-            getrandbits = msg.rng.getrandbits
-            if n <= self._setsize[c]:
-                # pool branch: the pick among the first m moves to pool[m - 1]
-                if pool is adj:
-                    pool = adj[:]
-                for m in range(n, n - c, -1):
-                    k = m.bit_length()
-                    j = getrandbits(k)
-                    while j >= m:
-                        j = getrandbits(k)
-                    pool[j], pool[m - 1] = pool[m - 1], pool[j]
-                targets = pool[n - c:]
-                targets.reverse()
-            else:
-                # set branch: redraw indices out of range or already picked
-                k = n.bit_length()
-                picked = set()
-                targets = []
-                for _ in range(c):
-                    j = getrandbits(k)
-                    while j >= n or j in picked:
-                        j = getrandbits(k)
-                    picked.add(j)
-                    targets.append(pool[j])
-            excluded = -1
+            targets, excluded = self.sample(msg.rng, node, sender), -1
         watched = msg.watched
         queue = msg.queue
         seq = msg.seq
@@ -237,6 +207,48 @@ class BroadcastProtocol:
             heappush(queue, (at, seq, node, w, PHASE_BROADCAST, 0))
             seq += 1
         msg.seq = seq
+
+    def sample(self, rng, node, sender):
+        """The sqrt fanout of node: rng.sample(pool, c) as a list of (target,
+        latency), pool being node's row without sender (sender < 0 or a degree
+        of at most c excludes nothing) and c its ceil(sqrt(degree)).
+
+        Drawn inline: the same getrandbits calls as CPython's Random.sample
+        and _randbelow_with_getrandbits, in both of its branches, so rng ends
+        in the same state and the targets come in the same order.
+        """
+        adj = self.graph.adj[node]
+        c = self._fan[node]
+        n = len(adj)
+        pool = adj
+        if 0 <= sender and n > c:
+            pool = adj[:]
+            del pool[bisect_left(adj, (sender,))]
+            n -= 1
+        getrandbits = rng.getrandbits
+        if n <= self._setsize[c]:
+            # pool branch: the pick among the first m moves to pool[m - 1]
+            if pool is adj:
+                pool = adj[:]
+            for m, k in self._draws[n:n - c:-1]:
+                j = getrandbits(k)
+                while j >= m:
+                    j = getrandbits(k)
+                pool[j], pool[m - 1] = pool[m - 1], pool[j]
+            targets = pool[n - c:]
+            targets.reverse()
+            return targets
+        # set branch: redraw indices out of range or already picked
+        k = n.bit_length()
+        picked = set()
+        targets = []
+        for _ in range(c):
+            j = getrandbits(k)
+            while j >= n or j in picked:
+                j = getrandbits(k)
+            picked.add(j)
+            targets.append(pool[j])
+        return targets
 
     def flood(self, msg, t, source, censor):
         """The whole mode 'all' flood that fluff(msg, t, source, -1) starts, in one pass.

@@ -15,7 +15,7 @@ from gossipsim.evaluator import ESTIMATORS, evaluate
 from gossipsim.graphs import (NetworkGraph, WeightGeneratorSpec,
                               assign_weights, gen_random_regular,
                               gen_scale_free)
-from gossipsim.protocols import ProtocolConfig, make_protocol
+from gossipsim.protocols import BroadcastProtocol, ProtocolConfig, make_protocol
 from reference import fold_log
 
 
@@ -98,6 +98,45 @@ class TestRunMessage:
         assert [(sender, arrival) for arrival, sender, _, _ in adv.observations(0)] == [
             (0, 1.0), (1, 6.0)]
         assert msg.first_receipt[2] == 1.0
+
+    def test_sqrt_pass_counts_duplicate_to_adversary_unqueued(self):
+        # unit latencies: 5 and then 2 reach adversarial node 8 at 2.0, and
+        # the duplicate from 2 holds both keys
+        graph = gen_random_regular(12, 4, seed=11)
+        proto = make_protocol(graph, ProtocolConfig(kind="broadcast", broadcast_mode="sqrt"))
+        adv = Adversary(graph, AdversaryConfig(ratio=0.25), seed=11)
+        runs = [run_message(spawn_message(0, proto, rng=random.Random(0)), proto,
+                            adversary=adv, keep_events=keep) for keep in (False, True)]
+        assert adv.observations(0)[:2] == [(2.0, 5, 8, PHASE_BROADCAST),
+                                           (2.0, 2, 8, PHASE_BROADCAST)]
+        for msg in runs:
+            assert (msg.first_reach, msg.first_sent) == ((2.0, 2), (1.0, 2))
+        assert runs[0].first_receipt == runs[1].first_receipt
+        # the pass queued no duplicate to an adversarial node
+        assert runs[0].seq < runs[1].seq
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_sqrt_pass_numbers_pushes_of_hops_popped_mid_flood(self, seed):
+        # stem exits that pop while the flood runs push with the pass's seq,
+        # so tied deliveries pop in the same order as when events are kept
+        class LateExits(BroadcastProtocol):
+            def on_spawn(self, msg):
+                self.fluff(msg, 0.0, msg.originator, -1)
+                for hop, node in enumerate(range(1, self.graph.n, 3)):
+                    msg.push(1.0 + hop, msg.originator, node, PHASE_STEM, hop)
+
+            def on_hop(self, msg, t, node, hop):
+                self.fluff(msg, t, node, -1)
+
+        graph = gen_random_regular(40, 6, seed=seed)
+        proto = LateExits(graph, ProtocolConfig(kind="broadcast", broadcast_mode="sqrt"))
+        adv = Adversary(graph, AdversaryConfig(ratio=0.2), seed=seed)
+        runs = [run_message(spawn_message(0, proto, rng=random.Random(seed)), proto,
+                            adversary=adv, keep_events=keep) for keep in (False, True)]
+        fast, kept = runs
+        assert fast.first_receipt == kept.first_receipt
+        assert fast.rng.getstate() == kept.rng.getstate()
+        assert (fast.first_reach, fast.first_sent) == (kept.first_reach, kept.first_sent)
 
     def test_stem_revisits_queued(self):
         # three nodes, five stem hops: the stem must deliver to some node twice

@@ -163,6 +163,12 @@ class TestSqrtSampler:
     def test_set_branch_hub(self, d, with_sender, seed):
         assert self.check_hub_draw(d, with_sender, seed) > 85  # 10 <= c <= 18
 
+    def test_draw_table_covers_every_pool_size(self):
+        graph = star_path(40)
+        proto = make_protocol(graph, ProtocolConfig(kind="broadcast", broadcast_mode="sqrt"))
+        assert proto._draws == [(m, m.bit_length()) for m in range(41)]
+        assert not hasattr(make_protocol(graph, ProtocolConfig()), "_draws")
+
     def test_fan_is_ceil_sqrt_degree(self):
         rows = [[(0, 1.0)] * d for d in range(401)]
         proto = make_protocol(SimpleNamespace(n=len(rows), adj=rows),
