@@ -4,25 +4,25 @@ Events are deliveries (deliver_at, from_node, to_node) tagged with a protocol
 phase. A binary heap pops them in (deliver_at, insertion order) order, which
 makes runs with equal timestamps deterministic. The engine records each node's
 first receipt and folds every delivery at an adversarial node into the
-estimators' keys (then censors it if the adversary is active). It hands
-every other broadcast delivery to the protocol's fluff and every stem or
-circuit delivery to its on_hop, which enqueue the successor events: a
-protocol implements only its anonymity phase.
+estimators' keys (then censors it if the adversary is active). It forwards
+every other broadcast delivery itself, to the protocol's fanout, and hands
+every stem or circuit delivery to the protocol's on_hop, which enqueues the
+successor events: a protocol implements only its anonymity phase.
 
-The fluff phase is label-setting, as in Dijkstra's algorithm: a broadcast
-delivery to an honest node is queued only if it is earlier than every
-delivery already queued for that node and the node has not yet forwarded.
-Such a delivery would pop after the earlier one and change nothing, so the
-run is the same as if every duplicate were queued. Broadcast deliveries to
-adversarial nodes are queued all the same when events are kept, so the
-adversary logs each one in delivery order. Stem and circuit deliveries are
-always queued: they flip coins even when they reach a node twice.
-
-Unless events are kept, two passes replace popping duplicates. A sqrt-mode
-message is drained by _fluff_sqrt, which makes fluff's draws inline and
-counts each send to an adversarial node towards the keys as it is sent, so
-that it queues no duplicate at all. A mode 'all' flood from a fresh source
-is not popped at all: when the queue holds nothing but that flood's first
+The fluff phase is label-setting, as in Dijkstra's algorithm, and one loop
+drains every run: a broadcast pop at a node that has not forwarded yet
+forwards inline, and a send to an honest node is queued only if it is
+earlier than every delivery already queued for that node. A later one would
+pop after it and change nothing, and the pushes left out do not reorder the
+rest, so the run is the same as if every duplicate were queued. Each send
+from an honest node to an adversarial one counts towards the keys as it is
+sent, with the arrival and latency its pop would read (rows are symmetric),
+so it is queued by the same rule, unless events are kept: then every send
+to an adversarial node is queued and logged in delivery order. Stem and
+circuit deliveries are always queued: they flip coins even when they reach
+a node twice. Fresh sources (spawn, a stem or circuit exit) fan out through
+protocol.fluff. A mode 'all' flood from a fresh source is not popped at all
+unless events are kept: when the queue holds nothing but that flood's first
 fanout, run_message hands it to protocol.flood, one array pass that writes
 the same first receipts and keys (see _flood_whole).
 """
@@ -68,10 +68,10 @@ class SimMessage:
     of earlier pushes, counted in the seq slot: code that pushes onto queue
     without push must advance it the same way. fluff_arrival maps node ->
     earliest broadcast delivery queued for it, or -inf once the node has
-    fanned the message out. watched is the adversarial node set, whose
-    broadcast deliveries fluff queues even when they cannot improve an
-    arrival (the sqrt pass counts them as it sends, and queues none);
-    run_message sets it before draining the queue. events lists the popped
+    fanned the message out. watched is the adversarial node set, which
+    run_message sets before draining the queue: fluff queues broadcast
+    deliveries to these nodes even when they cannot improve an arrival, and
+    flood folds their deliveries into the keys. events lists the popped
     events when run_message is asked to keep them. source is (t, node, start,
     end) once a mode 'all' fluff has started the message's first flood with
     seqs start..end-1, until run_message checks it. first_reach and
@@ -133,27 +133,28 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
     A delivery at an adversarial node, duplicates included, that is linkable
     (not circuit phase) and has an honest sender counts: msg.first_reach is
     the least (arrival, sender) and msg.first_sent the least (arrival -
-    latency, sender) over those. With keep_events every delivery there also
-    goes to the fresh log adversary.open_log(msg.mid), opened either way.
-    If the adversary is active, the message simply stops there. Otherwise a
-    broadcast delivery goes to protocol.fluff(msg, t, to, frm) and a stem or
-    circuit delivery to protocol.on_hop(msg, t, to, hop). A broadcast
-    duplicate to an honest node that cannot improve its arrival is never
-    queued (see the module docstring), so keep_events lists the popped
-    events, not every send. Without keep_events, a sqrt-mode message is
-    drained by _fluff_sqrt, which counts each broadcast send to an
-    adversarial node as it is sent and queues no duplicate, and a fresh
-    mode 'all' flood that is all the queue holds, after spawn or after an
-    on_hop, is computed whole by protocol.flood(msg, t, node, censor) and
-    never popped.
+    latency, sender) over those. With keep_events msg.events lists the
+    popped events, and every delivery at an adversarial node also goes to the
+    fresh log adversary.open_log(msg.mid), opened either way. If the
+    adversary is active, the message simply stops there. Otherwise a stem or
+    circuit delivery goes to protocol.on_hop(msg, t, to, hop), and a
+    broadcast delivery at a node that has not forwarded yet is sent on here
+    to protocol.fanout(msg.rng, to, frm), by the queueing rule of the module
+    docstring. Without keep_events, a fresh mode 'all' flood that is all the
+    queue holds, after spawn or after an on_hop, is computed whole by
+    protocol.flood(msg, t, node, censor) and never popped.
     """
     if keep_events:
         msg.events = []
         trace = msg.events.append
     queue = msg.queue
     first_receipt = msg.first_receipt
-    fluff = protocol.fluff
+    arrival = msg.fluff_arrival
+    rng = msg.rng
+    fanout = protocol.fanout
     pop = heapq.heappop
+    push = heapq.heappush
+    inf = math.inf
     if adversary is not None:
         adv_nodes = adversary.nodes
         log = adversary.open_log(msg.mid).append
@@ -166,12 +167,13 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
         adj = longest = None  # read only at adversarial nodes
     # set only now: spawn sends to each node at most once, so it sent no duplicate
     msg.watched = adv_nodes
+    # targets whose sends are queued even when they cannot improve an arrival
+    logged = adv_nodes if keep_events else _EMPTY
     whole = not keep_events
-    if whole and not protocol.mode_all:
-        _fluff_sqrt(msg, protocol, censor, adj, longest)  # drains the queue
-    elif whole and msg.source is not None:
+    if whole and msg.source is not None:
         _flood_whole(msg, protocol, censor)
     reach, sent = msg.first_reach, msg.first_sent
+    seq = msg.seq
     while queue:
         t, _seq, frm, to, phase, hop = pop(queue)
         if keep_events:
@@ -193,73 +195,20 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
                         sent = (at, frm)
             if censor:
                 continue
-        if phase == PHASE_BROADCAST:
-            fluff(msg, t, to, frm)
-        else:
+        if phase != PHASE_BROADCAST:
+            msg.seq = seq  # on_hop pushes with msg.seq
             protocol.on_hop(msg, t, to, hop)
             if whole and msg.source is not None:
                 msg.first_reach, msg.first_sent = reach, sent
                 _flood_whole(msg, protocol, censor)
                 reach, sent = msg.first_reach, msg.first_sent
-    msg.first_reach, msg.first_sent = reach, sent
-    msg.spread_ratio = len(first_receipt) / protocol.graph.n
-    return msg
-
-
-def _fluff_sqrt(msg, protocol, censor, adj, longest):
-    """Drain a sqrt-mode message's queue as run_message does, making fluff's
-    sends inline.
-
-    Pops record first receipts, count towards the keys and stop at an active
-    adversary as in run_message, and stem or circuit deliveries go to
-    protocol.on_hop. A broadcast pop at a node that has not forwarded yet
-    forwards to protocol.sample(msg.rng, node, sender), fluff's draw; at any
-    other node it does nothing. Each send from an honest node to an
-    adversarial one counts towards the keys as it is sent, with the arrival
-    and latency its pop would read (rows are symmetric). So every send, to an
-    adversarial node as to an honest one, is queued only if it is earlier
-    than all deliveries queued for its target so far: the deliveries that
-    count are those of queueing every duplicate, the first to pop at a node
-    is still its least (t, seq) one, and the pushes left out do not reorder
-    the rest. A stem or circuit exit's fanout (fluff's) and stem hops still
-    count when they pop. adj and longest are run_message's.
-    """
-    adv_nodes = msg.watched
-    queue = msg.queue
-    first_receipt = msg.first_receipt
-    arrival = msg.fluff_arrival
-    rng = msg.rng
-    sample = protocol.sample
-    pop = heapq.heappop
-    push = heapq.heappush
-    inf = math.inf
-    reach, sent = msg.first_reach, msg.first_sent
-    seq = msg.seq
-    while queue:
-        t, _seq, frm, to, phase, hop = pop(queue)
-        if to not in first_receipt:
-            first_receipt[to] = t
-        if to in adv_nodes:
-            if phase != PHASE_CIRCUIT and frm not in adv_nodes:
-                if reach is None or t <= reach[0] and (t, frm) < reach:
-                    reach = (t, frm)
-                if sent is None or t - longest <= sent[0]:
-                    row = adj[to]
-                    at = t - row[bisect_left(row, (frm,))][1]
-                    if sent is None or at <= sent[0] and (at, frm) < sent:
-                        sent = (at, frm)
-            if censor:
-                continue
-        if phase != PHASE_BROADCAST:
-            msg.seq = seq  # a stem or circuit exit pushes its fanout with msg.seq
-            protocol.on_hop(msg, t, to, hop)
             seq = msg.seq
             continue
         if arrival.get(to) == FORWARDED:
             continue
         arrival[to] = FORWARDED
         honest = to not in adv_nodes
-        for w, lat in sample(rng, to, frm):
+        for w, lat in fanout(rng, to, frm):
             at = t + lat
             if honest and w in adv_nodes:
                 if reach is None or at <= reach[0] and (at, to) < reach:
@@ -269,10 +218,14 @@ def _fluff_sqrt(msg, protocol, censor, adj, longest):
                     sent = (back, to)
             if at < arrival.get(w, inf):
                 arrival[w] = at
-                push(queue, (at, seq, to, w, PHASE_BROADCAST, 0))
-                seq += 1
+            elif w not in logged:
+                continue
+            push(queue, (at, seq, to, w, PHASE_BROADCAST, 0))
+            seq += 1
     msg.seq = seq
     msg.first_reach, msg.first_sent = reach, sent
+    msg.spread_ratio = len(first_receipt) / protocol.graph.n
+    return msg
 
 
 def _flood_whole(msg, protocol, censor):

@@ -1,16 +1,17 @@
 """Routing protocols: plain broadcast, stem-phase coin-flip routing with one or
 two pinned relays per node, and overlay circuit routing with a broadcast exit.
 
-Every protocol ends in the broadcast (fluff) phase, BroadcastProtocol.fluff,
-which the engine calls for each broadcast delivery (a sqrt run that keeps no
-events draws the fanouts with BroadcastProtocol.sample in one engine pass);
-a routing protocol subclasses BroadcastProtocol and implements only its
-anonymity phase (on_spawn and on_hop). A node forwards a message in
-broadcast phase at most once, either to all neighbors except the sender
-(mode 'all') or to ceil(sqrt(d)) neighbors sampled without replacement (mode
-'sqrt', excluding the sender whenever the degree allows it). The sqrt
-sample is exactly random.Random.sample on the sender-free neighbor list,
-drawn inline from the message's rng.
+Every protocol ends in the broadcast (fluff) phase. The engine forwards each
+broadcast delivery itself, to the targets of BroadcastProtocol.fanout, and
+BroadcastProtocol.fluff fans a message out of a fresh source (the
+originator, a stem or circuit exit); a routing protocol subclasses
+BroadcastProtocol and implements only its anonymity phase (on_spawn and
+on_hop). A node forwards a message in broadcast phase at most once, either
+to all neighbors except the sender (mode 'all') or to ceil(sqrt(d))
+neighbors sampled without replacement (mode 'sqrt', excluding the sender
+whenever the degree allows it). The sqrt sample is exactly
+random.Random.sample on the sender-free neighbor list, drawn inline from the
+message's rng.
 """
 
 import math
@@ -144,13 +145,13 @@ def _sample_setsize(k):
 class BroadcastProtocol:
     """Flood from the originator; nothing is hidden.
 
-    Every protocol ends in this flood: the engine hands each broadcast
-    delivery to fluff, or a whole fresh mode 'all' flood to flood, and its
-    sqrt pass draws each fanout with sample. A routing protocol subclasses
-    this one and adds its anonymity phase: on_spawn starts the message, and
-    on_hop(msg, t, node, hop) handles each stem or circuit delivery, pushing
-    the next hop or calling self.fluff(msg, t, node, -1) to start the flood
-    at node.
+    Every protocol ends in this flood: the engine forwards each broadcast
+    delivery to fanout's targets, or hands a whole fresh mode 'all' flood to
+    flood, and fluff starts the flood at a fresh source. A routing protocol
+    subclasses this one and adds its anonymity phase: on_spawn starts the
+    message, and on_hop(msg, t, node, hop) handles each stem or circuit
+    delivery, pushing the next hop or calling self.fluff(msg, t, node, -1)
+    to start the flood at node.
     """
 
     def __init__(self, graph, config):
@@ -171,34 +172,29 @@ class BroadcastProtocol:
     def fluff(self, msg, t, node, sender):
         """Fan the message out of `node`; no-op if it already forwarded.
 
-        sender < 0 marks a fresh source (spawn, stem or circuit exit): nothing
-        is excluded there, which keeps floods complete even when the exit's
-        only neighbor is the node that fed it. Otherwise sender is the
-        neighbor that delivered the message. A delivery to an honest node is
-        queued only if it is earlier than the node's fluff arrival so far (see
-        the engine module); sqrt mode draws its sample either way. In mode
-        'all', a fresh source's fanout that is the message's first also sets
+        The engine forwards broadcast deliveries itself and calls this only
+        for fresh sources: sender < 0 (spawn, stem or circuit exit) excludes
+        nothing, which keeps floods complete even when the exit's only
+        neighbor is the node that fed it. A direct caller may pass the
+        neighbor that delivered the message. The targets are fanout(msg.rng,
+        node, sender); a send to an honest one is queued only if it is earlier
+        than its fluff arrival so far (see the engine module). In mode 'all',
+        a fresh source's fanout that is the message's first also sets
         msg.source, so that run_message can hand the flood to flood().
-        The sqrt sample is sample(msg.rng, node, sender). Sends go straight
-        onto msg.queue with msg.seq, as msg.push does.
+        Sends go straight onto msg.queue with msg.seq, as msg.push does.
         """
         arrival = msg.fluff_arrival
         if arrival.get(node) == FORWARDED:
             return
         arrival[node] = FORWARDED
-        if self.mode_all:
-            targets, excluded = self.graph.adj[node], sender
-            if sender < 0 and len(arrival) == 1:
-                # the message's first fanout: every neighbour is queued
-                msg.source = (t, node, msg.seq, msg.seq + len(targets))
-        else:
-            targets, excluded = self.sample(msg.rng, node, sender), -1
+        targets = self.fanout(msg.rng, node, sender)
+        if self.mode_all and sender < 0 and len(arrival) == 1:
+            # the message's first fanout: every neighbour is queued
+            msg.source = (t, node, msg.seq, msg.seq + len(targets))
         watched = msg.watched
         queue = msg.queue
         seq = msg.seq
         for w, lat in targets:
-            if w == excluded:
-                continue
             at = t + lat
             if at < arrival.get(w, math.inf):
                 arrival[w] = at
@@ -208,16 +204,24 @@ class BroadcastProtocol:
             seq += 1
         msg.seq = seq
 
-    def sample(self, rng, node, sender):
-        """The sqrt fanout of node: rng.sample(pool, c) as a list of (target,
-        latency), pool being node's row without sender (sender < 0 or a degree
-        of at most c excludes nothing) and c its ceil(sqrt(degree)).
+    def fanout(self, rng, node, sender):
+        """The (target, latency) pairs node forwards to when sender delivered
+        the message (sender < 0 at a fresh source).
 
-        Drawn inline: the same getrandbits calls as CPython's Random.sample
-        and _randbelow_with_getrandbits, in both of its branches, so rng ends
-        in the same state and the targets come in the same order.
+        Mode 'all': node's row without sender; the row itself when sender < 0
+        or is not in it. Sqrt mode: rng.sample(pool, c), pool being node's row
+        without sender (sender < 0 or a degree of at most c excludes nothing)
+        and c its ceil(sqrt(degree)). Drawn inline: the same getrandbits
+        calls as CPython's Random.sample and _randbelow_with_getrandbits, in
+        both of its branches, so rng ends in the same state and the targets
+        come in the same order.
         """
         adj = self.graph.adj[node]
+        if self.mode_all:
+            i = bisect_left(adj, (sender,))
+            if sender < 0 or i == len(adj) or adj[i][0] != sender:
+                return adj
+            return adj[:i] + adj[i + 1:]
         c = self._fan[node]
         n = len(adj)
         pool = adj

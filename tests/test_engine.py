@@ -112,13 +112,16 @@ class TestRunMessage:
         for msg in runs:
             assert (msg.first_reach, msg.first_sent) == ((2.0, 2), (1.0, 2))
         assert runs[0].first_receipt == runs[1].first_receipt
-        # the pass queued no duplicate to an adversarial node
+        # without events no duplicate to an adversarial node was queued
         assert runs[0].seq < runs[1].seq
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_sqrt_pass_numbers_pushes_of_hops_popped_mid_flood(self, seed):
-        # stem exits that pop while the flood runs push with the pass's seq,
-        # so tied deliveries pop in the same order as when events are kept
+    @pytest.mark.parametrize("mode", ["sqrt", "all"])
+    def test_sqrt_pass_numbers_pushes_of_hops_popped_mid_flood(self, mode, seed):
+        # stem exits that pop while the flood runs push with the loop's seq,
+        # so tied deliveries pop in the same order as when events are kept;
+        # in mode 'all' the hops queued beside the first fanout keep the
+        # whole-flood pass out, so the heap forwards without events too
         class LateExits(BroadcastProtocol):
             def on_spawn(self, msg):
                 self.fluff(msg, 0.0, msg.originator, -1)
@@ -129,7 +132,7 @@ class TestRunMessage:
                 self.fluff(msg, t, node, -1)
 
         graph = gen_random_regular(40, 6, seed=seed)
-        proto = LateExits(graph, ProtocolConfig(kind="broadcast", broadcast_mode="sqrt"))
+        proto = LateExits(graph, ProtocolConfig(kind="broadcast", broadcast_mode=mode))
         adv = Adversary(graph, AdversaryConfig(ratio=0.2), seed=seed)
         runs = [run_message(spawn_message(0, proto, rng=random.Random(seed)), proto,
                             adversary=adv, keep_events=keep) for keep in (False, True)]
@@ -137,6 +140,7 @@ class TestRunMessage:
         assert fast.first_receipt == kept.first_receipt
         assert fast.rng.getstate() == kept.rng.getstate()
         assert (fast.first_reach, fast.first_sent) == (kept.first_reach, kept.first_sent)
+        assert fast.seq <= kept.seq
 
     def test_stem_revisits_queued(self):
         # three nodes, five stem hops: the stem must deliver to some node twice

@@ -1,15 +1,15 @@
-"""Property tests: the relax-and-skip fluff phase and the sqrt pass give the
-same run as queueing every duplicate, the keys the engine folds equal a scan
-of the full observation log, the whole-flood pass gives the same run as
-popping every event, a flood to all is a shortest-path computation, the
-circuit hop search equals scipy's dijkstra, the same seed gives the same run,
-refined candidate distributions are normalised over honest nodes and ranks
-stay within the honest node count."""
+"""Property tests: the relax-and-skip fluff phase, with each broadcast delivery
+forwarded inline by the engine, gives the same run as queueing every
+duplicate, the keys the engine folds equal a scan of the full observation
+log, the whole-flood pass gives the same run as popping every event, a flood
+to all is a shortest-path computation, the circuit hop search equals scipy's
+dijkstra, the same seed gives the same run, refined candidate distributions
+are normalised over honest nodes and ranks stay within the honest node
+count."""
 
 import heapq
 import math
 import random
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from gossipsim import engine
 from gossipsim.adversary import Adversary, AdversaryConfig
 from gossipsim.engine import (PHASE_BROADCAST, Simulation, run_message,
                               spawn_message)
@@ -121,46 +120,51 @@ def check_against_reference(kind, mode, adversary_kind, graph, seed, ratio, prob
 
     Each message runs with and without keep_events: both give the reference's
     first receipts, spread, rng state and the keys folded from its full log;
-    the run that keeps its events also logs the same deliveries. The sqrt
-    pass drains exactly the sqrt runs that keep no events, and it pushes no
-    more deliveries than popping every event does.
+    the run that keeps its events also logs the same deliveries. The engine
+    forwards every broadcast delivery itself, so fluff is called only for
+    fresh sources, and the run without events pushes no more deliveries than
+    popping every event does.
     """
     cfg = ProtocolConfig(kind=kind, broadcast_mode=mode,
                          broadcast_probability=probability, stem_cap=stem_cap)
     proto = make_protocol(graph, cfg, seed=seed)
     ref_proto = make_protocol(graph, cfg, seed=seed)
+    senders = []
+    fluff = proto.fluff
+    # the instance attribute shadows the method
+    proto.fluff = lambda msg, t, node, sender: senders.append(sender) or fluff(
+        msg, t, node, sender)
     adv = adversary_for(graph, adversary_kind, ratio, seed)
     ref_adv = adversary_for(graph, adversary_kind, ratio, seed)
     honest = honest_nodes(graph, adv)
     watched = adv.nodes if adv is not None else frozenset()
-    with mock.patch.object(engine, "_fluff_sqrt", wraps=engine._fluff_sqrt) as sqrt_pass:
-        for mid in range(3):
-            originator = honest[(pick + 7 * mid) % len(honest)]
-            ref = reference_run(ref_proto, ref_adv, originator, mid,
-                                random.Random(seed + mid))
-            ref_log = ref_adv.observations(mid) if ref_adv is not None else []
-            ref_keys = fold_log(ref_log, graph, watched)
-            seqs = []
-            for keep in (False, True):
-                ran_before = sqrt_pass.call_count
-                msg = run_message(spawn_message(originator, proto, mid=mid,
-                                                rng=random.Random(seed + mid)),
-                                  proto, adv, keep_events=keep)
-                # the pass ran exactly for a sqrt message that keeps no events
-                assert sqrt_pass.call_count - ran_before == (mode == "sqrt" and not keep)
-                seqs.append(msg.seq)
-                assert msg.first_receipt == ref.first_receipt
-                assert msg.spread_ratio == ref.spread_ratio
-                assert msg.rng.getstate() == ref.rng.getstate()
-                keys = (msg.first_reach, msg.first_sent)
-                assert keys == ref_keys
-                # estimating from the keys is estimating from the full log
-                for estimate in (estimate_first_reach, estimate_first_sent):
-                    assert estimate(keys) == estimate(ref_keys)
-                if adv is not None:
-                    assert adv.observations(mid) == (ref_log if keep else [])
-            # a pass pushes only deliveries that popping every event pushes too
-            assert seqs[0] <= seqs[1]
+    for mid in range(3):
+        originator = honest[(pick + 7 * mid) % len(honest)]
+        ref = reference_run(ref_proto, ref_adv, originator, mid,
+                            random.Random(seed + mid))
+        ref_log = ref_adv.observations(mid) if ref_adv is not None else []
+        ref_keys = fold_log(ref_log, graph, watched)
+        seqs = []
+        for keep in (False, True):
+            senders.clear()
+            msg = run_message(spawn_message(originator, proto, mid=mid,
+                                            rng=random.Random(seed + mid)),
+                              proto, adv, keep_events=keep)
+            # only fresh sources (spawn, stem or circuit exits) call fluff
+            assert all(sender < 0 for sender in senders)
+            seqs.append(msg.seq)
+            assert msg.first_receipt == ref.first_receipt
+            assert msg.spread_ratio == ref.spread_ratio
+            assert msg.rng.getstate() == ref.rng.getstate()
+            keys = (msg.first_reach, msg.first_sent)
+            assert keys == ref_keys
+            # estimating from the keys is estimating from the full log
+            for estimate in (estimate_first_reach, estimate_first_sent):
+                assert estimate(keys) == estimate(ref_keys)
+            if adv is not None:
+                assert adv.observations(mid) == (ref_log if keep else [])
+        # without events, only deliveries that popping every event pushes too
+        assert seqs[0] <= seqs[1]
 
 
 @pytest.mark.parametrize("adversary_kind", ["none", "passive", "active"])
