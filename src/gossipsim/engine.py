@@ -167,8 +167,6 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
         adj = longest = None  # read only at adversarial nodes
     # set only now: spawn sends to each node at most once, so it sent no duplicate
     msg.watched = adv_nodes
-    # targets whose sends are queued even when they cannot improve an arrival
-    logged = adv_nodes if keep_events else _EMPTY
     whole = not keep_events
     if whole and msg.source is not None:
         _flood_whole(msg, protocol, censor)
@@ -218,7 +216,7 @@ def run_message(msg, protocol, adversary=None, keep_events=False):
                     sent = (back, to)
             if at < arrival.get(w, inf):
                 arrival[w] = at
-            elif w not in logged:
+            elif not keep_events or w not in adv_nodes:
                 continue
             push(queue, (at, seq, to, w, PHASE_BROADCAST, 0))
             seq += 1

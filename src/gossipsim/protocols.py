@@ -219,9 +219,9 @@ class BroadcastProtocol:
         adj = self.graph.adj[node]
         if self.mode_all:
             i = bisect_left(adj, (sender,))
-            if sender < 0 or i == len(adj) or adj[i][0] != sender:
-                return adj
-            return adj[:i] + adj[i + 1:]
+            if i < len(adj) and adj[i][0] == sender:
+                return adj[:i] + adj[i + 1:]
+            return adj
         c = self._fan[node]
         n = len(adj)
         pool = adj

@@ -141,6 +141,8 @@ class TestRunMessage:
         assert fast.rng.getstate() == kept.rng.getstate()
         assert (fast.first_reach, fast.first_sent) == (kept.first_reach, kept.first_sent)
         assert fast.seq <= kept.seq
+        # every push took the next seq: the kept run popped each one
+        assert kept.seq == len(kept.events)
 
     def test_stem_revisits_queued(self):
         # three nodes, five stem hops: the stem must deliver to some node twice

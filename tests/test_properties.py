@@ -129,11 +129,10 @@ def check_against_reference(kind, mode, adversary_kind, graph, seed, ratio, prob
                          broadcast_probability=probability, stem_cap=stem_cap)
     proto = make_protocol(graph, cfg, seed=seed)
     ref_proto = make_protocol(graph, cfg, seed=seed)
-    senders = []
+    calls = []
     fluff = proto.fluff
     # the instance attribute shadows the method
-    proto.fluff = lambda msg, t, node, sender: senders.append(sender) or fluff(
-        msg, t, node, sender)
+    proto.fluff = lambda *args: calls.append(args) or fluff(*args)
     adv = adversary_for(graph, adversary_kind, ratio, seed)
     ref_adv = adversary_for(graph, adversary_kind, ratio, seed)
     honest = honest_nodes(graph, adv)
@@ -146,12 +145,12 @@ def check_against_reference(kind, mode, adversary_kind, graph, seed, ratio, prob
         ref_keys = fold_log(ref_log, graph, watched)
         seqs = []
         for keep in (False, True):
-            senders.clear()
+            calls.clear()
             msg = run_message(spawn_message(originator, proto, mid=mid,
                                             rng=random.Random(seed + mid)),
                               proto, adv, keep_events=keep)
             # only fresh sources (spawn, stem or circuit exits) call fluff
-            assert all(sender < 0 for sender in senders)
+            assert all(sender < 0 for _msg, _t, _node, sender in calls)
             seqs.append(msg.seq)
             assert msg.first_receipt == ref.first_receipt
             assert msg.spread_ratio == ref.spread_ratio
@@ -163,7 +162,7 @@ def check_against_reference(kind, mode, adversary_kind, graph, seed, ratio, prob
                 assert estimate(keys) == estimate(ref_keys)
             if adv is not None:
                 assert adv.observations(mid) == (ref_log if keep else [])
-        # without events, only deliveries that popping every event pushes too
+        # a run without events pushes only deliveries that popping every event pushes
         assert seqs[0] <= seqs[1]
 
 
